@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .equivalence import OWL_SAMEAS, EquivalenceRelation
-from .matcher import MatcherConfig, _PairContext, match_bnodes
+from .matcher import MatcherConfig, _solve
 from .model import (
     BNODE,
     Graph,
@@ -85,11 +85,15 @@ def _match_step(
     equiv: EquivalenceRelation,
     config: MatcherConfig,
 ) -> list[CandidateLink]:
-    mapping = match_bnodes(acc, new, equiv, config)
-    ctx = _PairContext(acc, new, equiv)
+    mapping, ctx = _solve(acc, new, equiv, config)
+    # The distance is symmetric, so it is read in the solve's orientation.
+    pairs = mapping.pairs
+    swapped = ctx.g1 is not acc
+    if swapped:
+        mapping = mapping.inverted()
     out = []
     for left, right in mapping.sorted_pairs():
-        d = ctx.dist(left, right, dict(mapping.pairs))
+        d = ctx.dist(right, left, pairs) if swapped else ctx.dist(left, right, pairs)
         out.append(
             CandidateLink(
                 left,

@@ -18,6 +18,17 @@ Three strategies, picked by instance shape:
 * color-refinement signature seeding plus pairwise hill-climbing otherwise
   (cost is an upper bound on the minimum).
 
+The assignment tier and the residue step of the refinement tier both need
+a whole matrix of pair distances under one fixed mapping.
+``_PairContext.cost_matrix`` builds it in one pass from token sets: with
+L and R the token sets of a pair, ``dist = |L △ R| = |L| + |R| − 2·|L ∩ R|``.
+Each side's tokens are computed once and interned to ints, and the
+``|L ∩ R|`` counts come from one sparse product of token incidence
+matrices, which visits only the cells whose bnodes share a token.  Every
+other cell is ``|L| + |R|``, filled by broadcasting with no Python work.
+The counts are exact integers, so the matrix equals the per-cell ``dist``
+matrix entry for entry and the assignment solver picks the same pairs.
+
 ``brute_force_match`` is an independent flat enumeration used as a test
 oracle; it evaluates candidate costs through a literal rename-and-diff of
 the incident sets rather than the token machinery used by the solver.
@@ -32,6 +43,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
 
 from . import ntriples
 from .equivalence import EquivalenceRelation
@@ -239,6 +251,33 @@ class _PairContext:
             self._lb_right[b2] = rw
         return len(lw ^ rw)
 
+    def cost_matrix(self, rows: list[Term], cols: list[Term],
+                    m: Mapping[Term, Term]) -> np.ndarray:
+        """``dist(b1, b2, m) - penalty_right(b2)`` for every row × column.
+
+        Left tokens absent from every column's token set can never be
+        shared, so they count towards ``|L|`` but are not interned.
+        """
+        vocab: dict[tuple, int] = {}
+        col_ids = [
+            [vocab.setdefault(tok, len(vocab)) for tok in self._right_tokens[b2]]
+            for b2 in cols
+        ]
+        row_ids = []
+        row_sizes = np.empty(len(rows), dtype=np.int64)
+        for i, b1 in enumerate(rows):
+            toks = frozenset(self._tokens(self.g1, b1, side="left", m=m))
+            row_sizes[i] = len(toks)
+            row_ids.append([vocab[tok] for tok in toks if tok in vocab])
+        col_terms = np.array(
+            [len(self._right_tokens[b2]) - self._penalty_right[b2] for b2 in cols],
+            dtype=np.int64,
+        )
+        matrix = row_sizes[:, None] + col_terms[None, :]
+        shared = (_incidence(row_ids, len(vocab)) @ _incidence(col_ids, len(vocab)).T).tocoo()
+        matrix[shared.row, shared.col] -= 2 * shared.data
+        return matrix
+
     def eval_cost(self, m: Mapping[Term, Term]) -> int:
         """Candidate objective: pair distances plus both-sided skip penalties.
 
@@ -256,6 +295,16 @@ class _PairContext:
             if b2 not in images:
                 total += self._penalty_right[b2]
         return total
+
+
+def _incidence(ids: list[list[int]], width: int) -> csr_matrix:
+    """0/1 matrix with one row per id list and a one in each listed column."""
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in ids], out=indptr[1:])
+    indices = np.fromiter(itertools.chain.from_iterable(ids), dtype=np.int64,
+                          count=int(indptr[-1]))
+    data = np.ones(len(indices), dtype=np.int64)
+    return csr_matrix((data, indices, indptr), shape=(len(ids), width))
 
 
 def pair_distance(
@@ -433,16 +482,13 @@ def _assignment_tier(ctx: _PairContext) -> BnodeMapping:
     # solution maps every left bnode and the assignment below is exact.
     # Crediting each used image's penalty makes the assignment objective
     # equal the true cost up to the constant sum of right penalties.
+    # Distances ignore the mapping here, so the matrix is built under the
+    # empty one; cost_matrix reproduces the per-cell distances exactly.
     left, right = ctx.left, ctx.right
-    n1, n2 = len(left), len(right)
-    rp = [ctx.penalty_right(b) for b in right]
-    matrix = np.zeros((n1, n2), dtype=np.int64)
-    for i, b1 in enumerate(left):
-        for j, b2 in enumerate(right):
-            matrix[i, j] = ctx.dist(b1, b2, {}) - rp[j]
+    matrix = ctx.cost_matrix(left, right, {})
     rows, cols = linear_sum_assignment(matrix)
     pairs = {left[i]: right[j] for i, j in zip(rows, cols)}
-    cost = int(matrix[rows, cols].sum()) + sum(rp)
+    cost = int(matrix[rows, cols].sum()) + sum(ctx.penalty_right(b) for b in right)
     return BnodeMapping(pairs, cost=cost, method=ASSIGNMENT)
 
 
@@ -469,18 +515,15 @@ def _refinement_tier(ctx: _PairContext, config: MatcherConfig) -> BnodeMapping:
 
     # Assign the residue with matched-signature pairs held fixed.
     rest1 = [b for b in left if b not in m]
-    rest2 = [b for b in right if b not in set(m.values())]
+    images = set(m.values())
+    rest2 = [b for b in right if b not in images]
     if rest1 and rest2:
-        n1, n2 = len(rest1), len(rest2)
-        matrix = np.zeros((n1, n2), dtype=np.int64)
-        for i, b1 in enumerate(rest1):
-            for j, b2 in enumerate(rest2):
-                matrix[i, j] = ctx.dist(b1, b2, m) - ctx.penalty_right(b2)
-        rows, cols = linear_sum_assignment(matrix)
+        rows, cols = linear_sum_assignment(ctx.cost_matrix(rest1, rest2, m))
         for i, j in zip(rows, cols):
             m[rest1[i]] = rest2[j]
 
     nbrs = ctx._left_nbrs
+    left_set = set(left)
 
     def contribution(b1: Term, mapping: dict[Term, Term]) -> int:
         if b1 in mapping:
@@ -494,7 +537,7 @@ def _refinement_tier(ctx: _PairContext, config: MatcherConfig) -> BnodeMapping:
                 continue
             out.add(b)
             out.update(nbrs[b])
-        return out & set(left)
+        return out & left_set
 
     def move_gain(touch: set[Term], new_m: dict[Term, Term]) -> int:
         before = sum(contribution(b, m) for b in touch)
@@ -556,16 +599,29 @@ def match_bnodes(
     is exact for the enumeration and assignment strategies and an upper
     bound for the refinement strategy.  Deterministic for a given config.
     """
-    equiv = equiv or EquivalenceRelation.exact()
-    config = config or MatcherConfig()
+    mapping, ctx = _solve(
+        g1, g2, equiv or EquivalenceRelation.exact(), config or MatcherConfig()
+    )
+    return mapping if ctx.g1 is g1 else mapping.inverted()
+
+
+def _solve(
+    g1: Graph, g2: Graph, equiv: EquivalenceRelation, config: MatcherConfig
+) -> tuple[BnodeMapping, _PairContext]:
+    """Solve from the side with fewer bnodes.
+
+    Returns the mapping in the context's orientation (``ctx.g1`` to
+    ``ctx.g2``, swapped when ``g1`` has more bnodes) with that context, so
+    callers can read further distances without building a second one.
+    """
     if len(g1.bnodes()) > len(g2.bnodes()):
-        return match_bnodes(g2, g1, equiv, config).inverted()
+        g1, g2 = g2, g1
     ctx = _PairContext(g1, g2, equiv)
     if len(ctx.left) <= config.exact_threshold:
-        return _exact_search(ctx)
+        return _exact_search(ctx), ctx
     if not has_connected_bnodes(g1) and not has_connected_bnodes(g2):
-        return _assignment_tier(ctx)
-    return _refinement_tier(ctx, config)
+        return _assignment_tier(ctx), ctx
+    return _refinement_tier(ctx, config), ctx
 
 
 def mapping_cost(

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
@@ -28,7 +29,6 @@ from .delta import (
     SOURCE_LABELS,
     TARGET_LABELS,
     DeltaScript,
-    apply_delta,
     load_delta,
     mapped_delta,
     save_delta,
@@ -54,12 +54,18 @@ def _delta_name(i: int) -> str:
 
 
 def _write_manifest(root: Path, version_count: int) -> None:
+    """Replace the manifest atomically: readers see the old one or the new one."""
     names = [BASE_FILE] + [_delta_name(i) for i in range(1, version_count)]
     lines = [f"versions {version_count}"]
     lines.extend(f"{name} {_sha256(root / name)}" for name in names)
-    (root / MANIFEST_FILE).write_text(
-        "".join(line + "\n" for line in lines), encoding="utf-8"
-    )
+    fd, name = tempfile.mkstemp(dir=root, prefix=f".{MANIFEST_FILE}.", suffix=".tmp")
+    os.close(fd)
+    tmp = Path(name)
+    try:
+        tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        os.replace(tmp, root / MANIFEST_FILE)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class VersionStore:
@@ -132,14 +138,19 @@ class VersionStore:
             raise ValueError(
                 f"version {i} out of range 1..{self._version_count}"
             )
+        # Store deltas are source-labels scripts, which apply without
+        # renaming, so the replay runs on triple sets and builds one Graph.
         try:
-            g = ntriples.load_graph(str(self.path / BASE_FILE), graph_id="v1")
+            triples = ntriples.load_graph(str(self.path / BASE_FILE)).triples
             for k in range(1, i):
-                script = load_delta(str(self.path / _delta_name(k)))
-                g, _ = apply_delta(g, script)
+                name = _delta_name(k)
+                script = load_delta(str(self.path / name))
+                if script.direction != SOURCE_LABELS:
+                    raise StoreError(f"{self.path}: {name} is not a {SOURCE_LABELS} delta")
+                triples = (triples - script.deletions) | script.additions
         except OSError as exc:
             raise StoreError(f"{self.path}: {exc}") from exc
-        return Graph(g.triples, f"v{i}")
+        return Graph(triples, f"v{i}")
 
     def stored_operation_count(self) -> int:
         total = 0
@@ -160,8 +171,8 @@ class VersionStore:
                 save_delta(script, str(self.path / name))
             except OSError as exc:
                 raise StoreError(f"{self.path}: {exc}") from exc
+            _write_manifest(self.path, self._version_count + 1)
             self._version_count += 1
-            _write_manifest(self.path, self._version_count)
             return script
 
     def sync_patch(self, frm: int, to: int) -> DeltaScript:

@@ -4,9 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from bnodematch import EquivalenceRelation, Graph, Triple, graphs_equivalent, iri, literal
+from bnodematch import (
+    EquivalenceRelation,
+    Graph,
+    Renaming,
+    Triple,
+    graphs_equivalent,
+    iri,
+    literal,
+    pair_distance,
+    rename_graph,
+)
 from bnodematch.equivalence import OWL_SAMEAS
 from bnodematch.integration import integrate, integrate_all, prefix_bnodes
+from conftest import small_pair
 
 MUS = "http://www.example.com/music/v0/"
 DB = "http://www.dbpedia.org/"
@@ -104,3 +115,30 @@ def test_candidates_expose_distances(g1, g2, g3, g4):
     }
     assert by_pair.get(("src1_1", "src2_2")) == 0
     assert by_pair.get(("src3_3", "src4_4")) == 2
+
+
+def test_candidate_distances_match_pair_distance_under_suffix():
+    swapped_seen = False
+    for seed in range(10):
+        pair = small_pair(60 + seed, bnodes=5 + seed % 4,
+                          connectivity=0.0 if seed % 2 else 0.5, mutations=3)
+        # subject/object IRIs move namespace; suffix equivalence rejoins them
+        moved = rename_graph(pair.g2, Renaming(
+            {u: iri(u.value.replace("gen.example", "other.example")) for u in pair.g2.uris()}
+        ))
+        # odd seeds give the second source fewer bnodes, so the solve swaps
+        sources = (pair.g1, moved) if seed % 3 else (moved, _drop_one_bnode(pair.g1))
+        result = integrate_all(list(sources), policy="suffix")
+        p1, p2 = prefix_bnodes(sources[0], "src1"), prefix_bnodes(sources[1], "src2")
+        swapped_seen |= len(p1.bnodes()) > len(p2.bnodes())
+        equiv = EquivalenceRelation.for_graphs("suffix", [p1, p2])
+        mapping = {c.left: c.right for c in result.candidates}
+        assert result.candidates, f"seed {seed}"
+        for c in result.candidates:
+            assert c.dist == pair_distance(p1, p2, c.left, c.right, mapping, equiv)
+    assert swapped_seen
+
+
+def _drop_one_bnode(g: Graph) -> Graph:
+    victim = min(g.bnodes(), key=lambda b: b.value)
+    return Graph([t for t in g if victim not in (t.s, t.o)])

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import time
 
+import numpy as np
 import pytest
 
 from bnodematch import (
@@ -23,10 +25,12 @@ from bnodematch import (
     pair_distance,
     rename_graph,
 )
+from bnodematch.generator import GenSpec, generate_pair
 from bnodematch.matcher import (
     ASSIGNMENT,
     BRUTE_FORCE,
     REFINEMENT,
+    _PairContext,
     format_mapping,
     parse_mapping,
 )
@@ -256,3 +260,116 @@ def test_mapping_file_rejects_garbage():
         parse_mapping("M a\n")
     with pytest.raises(ValueError):
         parse_mapping("Z a b\n")
+
+
+# -- the vectorised cost matrix ---------------------------------------------
+
+
+def _per_cell_matrix(ctx, rows, cols, m):
+    """Reference for ``cost_matrix``: one ``dist`` call per cell."""
+    return np.array(
+        [[ctx.dist(b1, b2, m) - ctx.penalty_right(b2) for b2 in cols] for b1 in rows],
+        dtype=np.int64,
+    ).reshape(len(rows), len(cols))
+
+
+def _other_namespace(g: Graph) -> Graph:
+    """Move subject/object IRIs to another namespace with their case changed."""
+    moved = {
+        u: iri("http://other.example/" + u.value.rsplit("/", 1)[1].upper())
+        for u in g.uris()
+    }
+    return rename_graph(g, Renaming(moved))
+
+
+def _with_self_loops(g: Graph, every: int = 3) -> Graph:
+    loop = iri("http://gen.example/loop")
+    bs = sorted(g.bnodes(), key=lambda b: b.value)
+    return Graph(g.triples | {Triple(b, loop, b) for b in bs[::every]}, g.graph_id)
+
+
+def _contexts(seed: int, connectivity: float):
+    pair = small_pair(seed, bnodes=6 + seed % 5, connectivity=connectivity,
+                      mutations=seed % 4)
+    right = _other_namespace(pair.g2) if seed % 2 else pair.g2
+    for g1, g2 in ((pair.g1, right), (_with_self_loops(pair.g1), _with_self_loops(right, 2))):
+        for policy in ("exact", "suffix"):
+            equiv = EquivalenceRelation.for_graphs(policy, [g1, g2])
+            yield pair, _PairContext(g1, g2, equiv)
+
+
+class TestCostMatrix:
+    def test_equals_per_cell_distances_under_the_empty_mapping(self):
+        for seed in range(12):
+            for _, ctx in _contexts(seed, 0.0):
+                np.testing.assert_array_equal(
+                    ctx.cost_matrix(ctx.left, ctx.right, {}),
+                    _per_cell_matrix(ctx, ctx.left, ctx.right, {}),
+                )
+
+    def test_equals_per_cell_distances_for_the_residue_of_a_partial_mapping(self):
+        for seed in range(12):
+            for pair, ctx in _contexts(seed, 0.5):
+                m = dict(sorted(pair.truth.items(), key=lambda p: p[0].value)[::2])
+                rest1 = [b for b in ctx.left if b not in m]
+                rest2 = [b for b in ctx.right if b not in set(m.values())]
+                np.testing.assert_array_equal(
+                    ctx.cost_matrix(rest1, rest2, m),
+                    _per_cell_matrix(ctx, rest1, rest2, m),
+                )
+                # rows that are themselves mapped read the same way
+                np.testing.assert_array_equal(
+                    ctx.cost_matrix(ctx.left, ctx.right, m),
+                    _per_cell_matrix(ctx, ctx.left, ctx.right, m),
+                )
+
+    def test_counts_collapsed_tokens_once(self):
+        p, q = iri("http://gen.example/p"), iri("http://gen.example/q")
+        b = bnode("b")
+        g1 = Graph([
+            Triple(b, p, iri("http://a.org/Name")),
+            Triple(b, p, iri("http://b.org/name")),
+            Triple(b, q, literal("x")),
+        ])
+        g2 = Graph([
+            Triple(bnode("c"), p, iri("http://c.org/NAME")),
+            Triple(bnode("c"), q, literal("x")),
+            Triple(bnode("d"), q, literal("y")),
+        ])
+        equiv = EquivalenceRelation.for_graphs("suffix", [g1, g2])
+        ctx = _PairContext(g1, g2, equiv)
+        # the two IRI objects share one representative: 2 tokens, degree 3
+        assert len(set(ctx._tokens(g1, b, side="left", m=None))) < ctx.penalty(b)
+        matrix = ctx.cost_matrix(ctx.left, ctx.right, {})
+        np.testing.assert_array_equal(matrix, _per_cell_matrix(ctx, ctx.left, ctx.right, {}))
+        assert matrix[0, 0] + ctx.penalty_right(bnode("c")) == 0
+
+    def test_empty_row_or_column_lists(self, g1, g2):
+        ctx = _PairContext(g1, g2, EquivalenceRelation.exact())
+        assert ctx.cost_matrix([], ctx.right, {}).shape == (0, len(ctx.right))
+        assert ctx.cost_matrix(ctx.left, [], {}).shape == (len(ctx.left), 0)
+
+
+def test_assignment_tier_agrees_with_oracle_under_suffix():
+    for seed in range(16):
+        pair = small_pair(700 + seed, bnodes=2 + seed % 5, connectivity=0.0,
+                          mutations=seed % 4)
+        g2 = _other_namespace(pair.g2)
+        if seed % 4 == 3:
+            g2 = _with_self_loops(g2)
+        equiv = EquivalenceRelation.for_graphs("suffix", [pair.g1, g2])
+        oracle = brute_force_match(pair.g1, g2, equiv)
+        tier2 = match_bnodes(pair.g1, g2, equiv, MatcherConfig(exact_threshold=0))
+        assert tier2.method == ASSIGNMENT, f"seed {seed}"
+        assert tier2.cost == oracle.cost, f"seed {seed}"
+
+
+def test_assignment_tier_scales_to_fifteen_hundred_bnodes():
+    pair = generate_pair(GenSpec(bnode_count=1500, ground_triples=750,
+                                 mutation_ops=75, seed=5))
+    start = time.perf_counter()
+    m = match_bnodes(pair.g1, pair.g2)
+    elapsed = time.perf_counter() - start
+    assert m.method == ASSIGNMENT
+    assert m.cost <= mapping_cost(pair.g1, pair.g2, pair.truth)
+    assert elapsed < 5.0, f"n=1500 assignment took {elapsed:.1f} s"

@@ -2,10 +2,24 @@
 
 from __future__ import annotations
 
+import random
+from pathlib import Path
+
 import pytest
 
-from bnodematch import apply_delta, graphs_equivalent, plain_delta, reverse_delta
-from bnodematch.store import VersionStore, StoreError
+from bnodematch import (
+    Graph,
+    Triple,
+    apply_delta,
+    graphs_equivalent,
+    load_graph,
+    plain_delta,
+    rename_graph,
+    reverse_delta,
+)
+from bnodematch.delta import TARGET_LABELS, DeltaScript, format_delta, load_delta
+from bnodematch.store import VersionStore, StoreError, _write_manifest
+from conftest import random_relabeling, small_pair
 
 
 @pytest.fixture
@@ -122,3 +136,75 @@ def test_space_claim_on_the_running_example(repo, g2, g3):
     repo.commit(g2)
     repo.commit(g3)
     assert repo.stored_operation_count() <= len(g2) + len(g3)
+
+
+
+def _version_chain(length: int) -> list[Graph]:
+    """Generated versions, each a relabelled edit of the last; one repeats."""
+    rng = random.Random(12)
+    versions = [small_pair(1, bnodes=12).g1]
+    for k in range(1, length):
+        if k == 4:
+            versions.append(versions[-1])  # commits as an empty delta
+            continue
+        edited = set(versions[-1].triples)
+        fresh = sorted(small_pair(100 + k, bnodes=12).g1.triples, key=Triple.sort_key)
+        edited.update(fresh[: rng.randint(1, 3)])
+        for t in sorted(edited, key=Triple.sort_key)[: rng.randint(0, 2)]:
+            edited.discard(t)
+        g = Graph(edited)
+        versions.append(rename_graph(g, random_relabeling(g, rng, tag=f"v{k}_")))
+    return versions
+
+
+def test_checkout_equals_the_apply_delta_fold(tmp_path):
+    versions = _version_chain(12)
+    store = VersionStore.init(tmp_path / "r", versions[0])
+    scripts = [store.commit(g) for g in versions[1:]]
+    assert any(s.is_empty() for s in scripts)
+    folded = load_graph(str(tmp_path / "r" / "base.nt"))
+    for i in range(1, store.version_count + 1):
+        if i > 1:
+            delta = load_delta(str(tmp_path / "r" / f"{i - 1:04d}.rdfd"))
+            folded, warnings = apply_delta(folded, delta)
+            assert warnings == []
+        out = store.checkout(i)
+        assert out == folded
+        assert out.graph_id == f"v{i}"
+        assert graphs_equivalent(out, versions[i - 1])
+
+
+def test_checkout_refuses_a_target_labels_delta(repo, g2):
+    script = repo.commit(g2)
+    relabelled = DeltaScript(script.additions, script.deletions,
+                             script.mapping_used, TARGET_LABELS)
+    (repo.path / "0001.rdfd").write_text(format_delta(relabelled))
+    _write_manifest(repo.path, 2)
+    with pytest.raises(StoreError):
+        VersionStore(repo.path).checkout(2)
+
+
+def test_failed_manifest_write_keeps_the_previous_version(repo, g2, g3, monkeypatch):
+    repo.commit(g2)
+    before = (repo.path / "manifest.txt").read_bytes()
+    real_write_text = Path.write_text
+
+    def write_half_then_fail(self, data, *args, **kwargs):
+        real_write_text(self, data[: len(data) // 2], *args, **kwargs)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError):
+        repo.commit(g3)
+    monkeypatch.undo()
+    assert (repo.path / "manifest.txt").read_bytes() == before
+    assert repo.version_count == 2
+    # no temp file is left behind; the unlisted delta file is
+    assert sorted(p.name for p in repo.path.iterdir()) == [
+        "0001.rdfd", "0002.rdfd", "base.nt", "manifest.txt"
+    ]
+    reopened = VersionStore(repo.path)
+    assert reopened.version_count == 2
+    assert graphs_equivalent(reopened.checkout(2), g2)
+    reopened.commit(g3)  # the unlisted delta file is overwritten
+    assert graphs_equivalent(VersionStore(repo.path).checkout(3), g3)
