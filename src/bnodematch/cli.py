@@ -76,20 +76,8 @@ class UsageError(ValueError):
     pass
 
 
-def _build_equiv(arg: str, graphs: list[Graph]) -> EquivalenceRelation:
-    if arg == "exact":
-        return EquivalenceRelation.for_graphs("exact", graphs)
-    if arg == "suffix":
-        return EquivalenceRelation.for_graphs("suffix", graphs)
-    if arg.startswith("sameas:"):
-        pairs = load_sameas_pairs(arg.split(":", 1)[1])
-        return EquivalenceRelation.for_graphs("sameas", graphs, pairs)
-    raise UsageError(
-        f"bad --equiv value {arg!r}; expected exact, suffix, or sameas:<file>"
-    )
-
-
-def _equiv_policy(arg: str) -> tuple[str, list]:
+def _parse_equiv(arg: str) -> tuple[str, list]:
+    """The ``--equiv`` value as (policy, sameAs pairs)."""
     if arg in ("exact", "suffix"):
         return arg, []
     if arg.startswith("sameas:"):
@@ -108,7 +96,8 @@ def cmd_diff(args) -> int:
     if args.plain:
         script = plain_delta(g1, g2)
     else:
-        equiv = _build_equiv(args.equiv, [g1, g2])
+        policy, pairs = _parse_equiv(args.equiv)
+        equiv = EquivalenceRelation.for_graphs(policy, [g1, g2], pairs)
         mapping = match_bnodes(g1, g2, equiv, MatcherConfig(exact_threshold=args.exact_threshold))
         direction = SOURCE_LABELS if args.labels == "source" else TARGET_LABELS
         script = mapped_delta(g1, g2, mapping, direction)
@@ -134,7 +123,8 @@ def cmd_patch(args) -> int:
 def cmd_match(args) -> int:
     g1, g2 = _read_graph(args.graph1), _read_graph(args.graph2)
     _guard_output(args.output, [args.graph1, args.graph2])
-    equiv = _build_equiv(args.equiv, [g1, g2])
+    policy, pairs = _parse_equiv(args.equiv)
+    equiv = EquivalenceRelation.for_graphs(policy, [g1, g2], pairs)
     config = MatcherConfig(exact_threshold=args.exact_threshold)
     mapping = match_bnodes(g1, g2, equiv, config)
     _write_text(args.output, format_mapping(mapping))
@@ -166,7 +156,7 @@ def cmd_entail(args) -> int:
 def cmd_integrate(args) -> int:
     graphs = [_read_graph(p) for p in args.graphs]
     _guard_output(args.output, args.graphs)
-    policy, pairs = _equiv_policy(args.equiv)
+    policy, pairs = _parse_equiv(args.equiv)
     accept = majority_accept
     if args.review:
         def accept(left, right, dist, ls, rs):  # noqa: ANN001 - cli glue

@@ -9,10 +9,10 @@ lexicographically).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from . import ntriples
-from .model import BNODE, IRI, LITERAL, Graph, Term
+from .model import BNODE, IRI, Graph, Term
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
 
@@ -155,16 +155,6 @@ class EquivalenceRelation:
             if group:
                 return min(group + [a], key=_rep_key)
         return a
-
-    def groups(self) -> list[frozenset[Term]]:
-        """Non-singleton equivalence groups among registered terms."""
-        by_rep: dict[Term, set[Term]] = {}
-        for t, rep in self._reps.items():
-            by_rep.setdefault(rep, set()).add(t)
-        return sorted(
-            (frozenset(g) for g in by_rep.values() if len(g) > 1),
-            key=lambda g: min(_rep_key(t) for t in g),
-        )
 
 
 def load_sameas_pairs(path: str) -> list[tuple[Term, Term]]:

@@ -18,6 +18,12 @@ Three strategies, picked by instance shape:
 * color-refinement signature seeding plus pairwise hill-climbing otherwise
   (cost is an upper bound on the minimum).
 
+One token rule, ``_incident_tokens``, feeds signatures, distances, lower
+bounds and the cost matrix.  Every IRI and literal, predicates included,
+compares through the equivalence relation: renamings never move
+predicates, but two sources may name one property differently, and the
+integration URI links treat such predicates as one.
+
 The assignment tier and the residue step of the refinement tier both need
 a whole matrix of pair distances under one fixed mapping.
 ``_PairContext.cost_matrix`` builds it in one pass from token sets: with
@@ -39,7 +45,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from hashlib import blake2b
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -61,7 +67,9 @@ BRUTE_FORCE = "brute_force"
 ASSIGNMENT = "assignment"
 REFINEMENT = "refinement"
 
-_SELF = ("~self~",)
+_SELF = "~"
+_WILDCARD = "*"
+_UNMAPPED = "!"
 _ORACLE_LIMIT = 8
 
 
@@ -73,7 +81,6 @@ class InstanceTooLarge(ValueError):
 class MatcherConfig:
     exact_threshold: int = 7
     max_refinement_rounds: int = 20
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.exact_threshold < 0:
@@ -149,12 +156,13 @@ class _PairContext:
         self.equiv = equiv
         self.left = sorted(g1.bnodes(), key=Term.sort_key)
         self.right = sorted(g2.bnodes(), key=Term.sort_key)
-        self._canon: dict[Term, str] = {}
+        self._ground = _grounder(equiv)
         # Right-side tokens never depend on the candidate mapping: the
         # mapping renames left bnodes into right labels, so right neighbors
         # stand for themselves.
-        self._right_tokens: dict[Term, frozenset] = {
-            b: frozenset(self._tokens(g2, b, side="right", m=None)) for b in self.right
+        self._right_tokens: dict[Term, frozenset[str]] = {
+            b: frozenset(_incident_tokens(g2, b, self._ground, ntriples.render_term))
+            for b in self.right
         }
         self._left_nbrs: dict[Term, tuple[Term, ...]] = {
             b: self._bnode_neighbors(g1, b) for b in self.left
@@ -166,15 +174,8 @@ class _PairContext:
             b: len(incident_triples(g2, b)) for b in self.right
         }
         self._memo: dict[tuple, int] = {}
-        self._lb_left: dict[Term, frozenset] = {}
-        self._lb_right: dict[Term, frozenset] = {}
-
-    def _ground(self, term: Term) -> str:
-        tok = self._canon.get(term)
-        if tok is None:
-            tok = ntriples.render_term(self.equiv.representative(term))
-            self._canon[term] = tok
-        return tok
+        self._lb_left: dict[Term, frozenset[str]] = {}
+        self._lb_right: dict[Term, frozenset[str]] = {}
 
     @staticmethod
     def _bnode_neighbors(g: Graph, b: Term) -> tuple[Term, ...]:
@@ -185,33 +186,18 @@ class _PairContext:
                     nbrs.add(term)
         return tuple(sorted(nbrs, key=Term.sort_key))
 
-    def _tokens(self, g: Graph, owner: Term, side: str,
-                m: Optional[dict[Term, Term]], wildcard: bool = False):
-        """Canonical forms of the owner's incident triples.
+    def _left_tokens(self, b1: Term, m: Mapping[Term, Term]) -> frozenset[str]:
+        """b1's tokens with each bnode neighbor named by its image under ``m``.
 
-        Predicates compare by exact IRI (renamings never touch them);
-        subjects and objects go through the equivalence representative.
+        An unmapped neighbor gets a marker no right-side token carries, so
+        it never matches.
         """
-        out = []
-        for t in incident_triples(g, owner):
-            slots = []
-            for term in (t.s, t.o):
-                if term == owner:
-                    slots.append(_SELF)
-                elif term.kind == BNODE:
-                    if wildcard:
-                        slots.append(("?",))
-                    elif side == "right":
-                        slots.append(("b2", term.value))
-                    elif m is not None and term in m:
-                        slots.append(("b2", m[term].value))
-                    else:
-                        # unmapped left neighbor: never equal to anything
-                        slots.append(("b1", term.value))
-                else:
-                    slots.append(("g", self._ground(term)))
-            out.append((slots[0], t.p.value, slots[1]))
-        return out
+
+        def neighbor(n: Term) -> str:
+            image = m.get(n)
+            return _UNMAPPED + n.value if image is None else ntriples.render_term(image)
+
+        return frozenset(_incident_tokens(self.g1, b1, self._ground, neighbor))
 
     def penalty(self, b1: Term) -> int:
         return self._penalty[b1]
@@ -232,10 +218,7 @@ class _PairContext:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        local = {n: m[n] for n in self._left_nbrs[b1] if n in m}
-        left = frozenset(self._tokens(self.g1, b1, side="left", m=local))
-        right = self._right_tokens[b2]
-        value = len(left ^ right)
+        value = len(self._left_tokens(b1, m) ^ self._right_tokens[b2])
         self._memo[key] = value
         return value
 
@@ -243,12 +226,12 @@ class _PairContext:
         """Mapping-independent lower bound: neighbor slots wildcarded."""
         lw = self._lb_left.get(b1)
         if lw is None:
-            lw = frozenset(self._tokens(self.g1, b1, side="left", m=None, wildcard=True))
-            self._lb_left[b1] = lw
+            lw = self._lb_left[b1] = frozenset(
+                _incident_tokens(self.g1, b1, self._ground, _wildcard))
         rw = self._lb_right.get(b2)
         if rw is None:
-            rw = frozenset(self._tokens(self.g2, b2, side="right", m=None, wildcard=True))
-            self._lb_right[b2] = rw
+            rw = self._lb_right[b2] = frozenset(
+                _incident_tokens(self.g2, b2, self._ground, _wildcard))
         return len(lw ^ rw)
 
     def cost_matrix(self, rows: list[Term], cols: list[Term],
@@ -258,7 +241,7 @@ class _PairContext:
         Left tokens absent from every column's token set can never be
         shared, so they count towards ``|L|`` but are not interned.
         """
-        vocab: dict[tuple, int] = {}
+        vocab: dict[str, int] = {}
         col_ids = [
             [vocab.setdefault(tok, len(vocab)) for tok in self._right_tokens[b2]]
             for b2 in cols
@@ -266,7 +249,7 @@ class _PairContext:
         row_ids = []
         row_sizes = np.empty(len(rows), dtype=np.int64)
         for i, b1 in enumerate(rows):
-            toks = frozenset(self._tokens(self.g1, b1, side="left", m=m))
+            toks = self._left_tokens(b1, m)
             row_sizes[i] = len(toks)
             row_ids.append([vocab[tok] for tok in toks if tok in vocab])
         col_terms = np.array(
@@ -278,23 +261,57 @@ class _PairContext:
         matrix[shared.row, shared.col] -= 2 * shared.data
         return matrix
 
+    def contribution(self, b1: Term, m: Mapping[Term, Term]) -> int:
+        """b1's share of the objective: its pair distance, or its degree if unmapped."""
+        image = m.get(b1)
+        return self._penalty[b1] if image is None else self.dist(b1, image, m)
+
     def eval_cost(self, m: Mapping[Term, Term]) -> int:
         """Candidate objective: pair distances plus both-sided skip penalties.
 
         An unmapped bnode's incident triples all end up in the delta, so
         every unmapped bnode on either side contributes its degree.
         """
-        total = 0
         images = set(m.values())
-        for b1 in self.left:
-            if b1 in m:
-                total += self.dist(b1, m[b1], m)
-            else:
-                total += self._penalty[b1]
-        for b2 in self.right:
-            if b2 not in images:
-                total += self._penalty_right[b2]
-        return total
+        return sum(self.contribution(b1, m) for b1 in self.left) + sum(
+            self._penalty_right[b2] for b2 in self.right if b2 not in images
+        )
+
+
+def _grounder(equiv: EquivalenceRelation) -> Callable[[Term], str]:
+    """Cached rendering of an IRI's or literal's equivalence representative."""
+    cache: dict[Term, str] = {}
+
+    def ground(term: Term) -> str:
+        tok = cache.get(term)
+        if tok is None:
+            tok = cache[term] = ntriples.render_term(equiv.representative(term))
+        return tok
+
+    return ground
+
+
+def _wildcard(_: Term) -> str:
+    return _WILDCARD
+
+
+def _incident_tokens(g: Graph, owner: Term, ground: Callable[[Term], str],
+                     neighbor: Callable[[Term], str]) -> list[str]:
+    """One token ``(slot(s) ground(p) slot(o))`` per incident triple of ``owner``.
+
+    The owner is ``~``; an IRI or literal, the predicate included, is
+    ``ground(term)``, its rendered equivalence representative; a neighbor
+    bnode is ``neighbor(term)``: a right label, an image under the mapping,
+    an unmapped marker, a wildcard or a color.  No slot has a space outside
+    a quoted literal, so different triples give different tokens.
+    """
+
+    def slot(term: Term) -> str:
+        if term == owner:
+            return _SELF
+        return neighbor(term) if term.kind == BNODE else ground(term)
+
+    return [f"({slot(t.s)} {ground(t.p)} {slot(t.o)})" for t in incident_triples(g, owner)]
 
 
 def _incidence(ids: list[list[int]], width: int) -> csr_matrix:
@@ -336,23 +353,6 @@ def pair_distance(
 # -- signatures -------------------------------------------------------------
 
 
-def _round_tokens(g: Graph, equiv: EquivalenceRelation, owner: Term,
-                  colors: Optional[dict[Term, str]]) -> list[str]:
-    toks = []
-    for t in incident_triples(g, owner):
-        slots = []
-        for term in (t.s, t.o):
-            if term == owner:
-                slots.append("~")
-            elif term.kind == BNODE:
-                slots.append(colors[term] if colors is not None else "*")
-            else:
-                slots.append(ntriples.render_term(equiv.representative(term)))
-        pred = ntriples.render_term(equiv.representative(t.p))
-        toks.append(f"({slots[0]} {pred} {slots[1]})")
-    return sorted(toks)
-
-
 def _color_of(tokens: Iterable[str]) -> str:
     digest = blake2b("\n".join(tokens).encode("utf-8"), digest_size=12)
     return digest.hexdigest()
@@ -372,12 +372,13 @@ def build_signatures(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    equiv = equiv or EquivalenceRelation.exact()
+    ground = _grounder(equiv or EquivalenceRelation.exact())
     colors: Optional[dict[Term, str]] = None
     tokens: dict[Term, tuple[str, ...]] = {}
     for _ in range(rounds):
+        neighbor = _wildcard if colors is None else colors.__getitem__
         tokens = {
-            b: tuple(_round_tokens(g, equiv, b, colors)) for b in g.bnodes()
+            b: tuple(sorted(_incident_tokens(g, b, ground, neighbor))) for b in g.bnodes()
         }
         colors = {b: _color_of(toks) for b, toks in tokens.items()}
     assert colors is not None
@@ -509,6 +510,23 @@ def _seed_by_signatures(ctx: _PairContext) -> dict[Term, Term]:
     return seed
 
 
+def _move_gain(ctx: _PairContext, m: Mapping[Term, Term], new_m: Mapping[Term, Term],
+               moved: tuple[Term, ...]) -> int:
+    """``eval_cost(new_m) - eval_cost(m)`` for a move that changes only ``moved``.
+
+    A contribution reads the mapping only at its bnode and that bnode's
+    neighbors; a right bnode's skip penalty changes only if the move frees
+    or takes it as an image.
+    """
+    touched = set(moved).union(*(ctx._left_nbrs[b] for b in moved))
+    gain = sum(ctx.contribution(b, new_m) - ctx.contribution(b, m) for b in touched)
+    before = {m[b] for b in moved if b in m}
+    after = {new_m[b] for b in moved if b in new_m}
+    gain += sum(ctx.penalty_right(b2) for b2 in before - after)
+    gain -= sum(ctx.penalty_right(b2) for b2 in after - before)
+    return gain
+
+
 def _refinement_tier(ctx: _PairContext, config: MatcherConfig) -> BnodeMapping:
     left, right = ctx.left, ctx.right
     m = _seed_by_signatures(ctx)
@@ -522,55 +540,22 @@ def _refinement_tier(ctx: _PairContext, config: MatcherConfig) -> BnodeMapping:
         for i, j in zip(rows, cols):
             m[rest1[i]] = rest2[j]
 
-    nbrs = ctx._left_nbrs
-    left_set = set(left)
-
-    def contribution(b1: Term, mapping: dict[Term, Term]) -> int:
-        if b1 in mapping:
-            return ctx.dist(b1, mapping[b1], mapping)
-        return ctx.penalty(b1)
-
-    def affected(*bs: Term) -> set[Term]:
-        out = set()
-        for b in bs:
-            if b is None:
-                continue
-            out.add(b)
-            out.update(nbrs[b])
-        return out & left_set
-
-    def move_gain(touch: set[Term], new_m: dict[Term, Term]) -> int:
-        before = sum(contribution(b, m) for b in touch)
-        after = sum(contribution(b, new_m) for b in touch)
-        return after - before
-
     for _ in range(config.max_refinement_rounds):
         improved = False
-        mapped = sorted(m, key=Term.sort_key)
-        unused = sorted(set(right) - set(m.values()), key=Term.sort_key)
         # image swaps between mapped pairs
-        for b1a, b1b in itertools.combinations(mapped, 2):
+        for b1a, b1b in itertools.combinations(sorted(m, key=Term.sort_key), 2):
             new_m = dict(m)
             new_m[b1a], new_m[b1b] = m[b1b], m[b1a]
-            if move_gain(affected(b1a, b1b), new_m) < 0:
+            if _move_gain(ctx, m, new_m, (b1a, b1b)) < 0:
                 m = new_m
                 improved = True
-        mapped = sorted(m, key=Term.sort_key)
+        # unmapping, reassignments to unused images, and fresh pairs
         unused = sorted(set(right) - set(m.values()), key=Term.sort_key)
-        # reassignments to unused images, unmapping, and fresh pairs
-        for b1 in sorted(left, key=Term.sort_key):
-            current = ctx.eval_cost(m)
-            candidates: list[dict[Term, Term]] = []
-            if b1 in m:
-                dropped = {k: v for k, v in m.items() if k != b1}
-                candidates.append(dropped)
-                for b2 in unused:
-                    candidates.append(dict(dropped) | {b1: b2})
-            else:
-                for b2 in unused:
-                    candidates.append(dict(m) | {b1: b2})
-            for new_m in candidates:
-                if ctx.eval_cost(new_m) < current:
+        for b1 in left:
+            rest = {k: v for k, v in m.items() if k != b1}
+            for b2 in ([None] if b1 in m else []) + unused:
+                new_m = rest if b2 is None else rest | {b1: b2}
+                if _move_gain(ctx, m, new_m, (b1,)) < 0:
                     m = new_m
                     unused = sorted(set(right) - set(m.values()), key=Term.sort_key)
                     improved = True
@@ -654,7 +639,7 @@ def _oracle_dist(
     m: Mapping[Term, Term],
     equiv: EquivalenceRelation,
 ) -> int:
-    """Literal rename-and-diff of the two incident sets (oracle route)."""
+    """Literal rename-and-diff of the incident sets; predicates go through ``equiv`` too."""
 
     def canon(term: Term, owner: Term, side: str):
         if term == owner:
@@ -668,11 +653,11 @@ def _oracle_dist(
         return ("ground", ntriples.render_term(equiv.representative(term)))
 
     left = {
-        (canon(t.s, b1, "left"), t.p.value, canon(t.o, b1, "left"))
+        (canon(t.s, b1, "left"), canon(t.p, b1, "left"), canon(t.o, b1, "left"))
         for t in incident_triples(g1, b1)
     }
     right = {
-        (canon(t.s, b2, "right"), t.p.value, canon(t.o, b2, "right"))
+        (canon(t.s, b2, "right"), canon(t.p, b2, "right"), canon(t.o, b2, "right"))
         for t in incident_triples(g2, b2)
     }
     return len(left - right) + len(right - left)

@@ -40,11 +40,6 @@ class Term:
         if self.kind == BNODE and not self.value:
             raise ValueError("bnode labels must be non-empty")
 
-    @property
-    def is_resource(self) -> bool:
-        """IRIs and bnodes are resources; literals are not."""
-        return self.kind != LITERAL
-
     def sort_key(self) -> tuple:
         return (self.kind, self.value, self.datatype or "", self.langtag or "")
 

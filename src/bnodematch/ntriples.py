@@ -15,7 +15,15 @@ from typing import IO, Iterable, Union
 
 from .model import BNODE, IRI, LITERAL, Graph, Term, Triple, bnode, iri, literal
 
-LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
+# BLANK_NODE_LABEL of N-Triples 1.1, without the "_:" prefix.  The label
+# may not end in ".", so "_:b1." is the label "b1" and the terminator.
+_PN_CHARS_U = (
+    "A-Za-z\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u02FF\u0370-\u037D\u037F-\u1FFF"
+    "\u200C-\u200D\u2070-\u218F\u2C00-\u2FEF\u3001-\uD7FF\uF900-\uFDCF"
+    "\uFDF0-\uFFFD\U00010000-\U000EFFFF_:"
+)
+_PN_CHARS = _PN_CHARS_U + "\\-0-9\u00B7\u0300-\u036F\u203F-\u2040"
+LABEL_RE = re.compile(f"[{_PN_CHARS_U}0-9](?:[{_PN_CHARS}.]*[{_PN_CHARS}])?")
 LANGTAG_RE = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
 
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}

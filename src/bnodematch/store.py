@@ -68,6 +68,19 @@ def _write_manifest(root: Path, version_count: int) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _holder_is_gone(lock: Path) -> bool:
+    """Does the lock name a pid that runs no process?  Unreadable counts as held."""
+    try:
+        pid = int(lock.read_text(encoding="ascii"))
+        if pid > 0:
+            os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass
+    return False
+
+
 class VersionStore:
     """A directory holding one base version and its forward deltas."""
 
@@ -114,11 +127,16 @@ class VersionStore:
 
     @contextmanager
     def _write_lock(self):
+        """Hold the lock file; one left by a dead writer is taken over."""
         lock = self.path / LOCK_FILE
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise StoreError(f"{self.path}: repository is locked by another writer")
+        for attempt in range(2):
+            try:
+                fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt or not _holder_is_gone(lock):
+                    raise StoreError(f"{lock}: repository is locked by another writer")
+                lock.unlink(missing_ok=True)
         try:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)

@@ -10,6 +10,7 @@ import pytest
 
 from bnodematch import graphs_equivalent, load_graph
 from bnodematch.cli import main
+from bnodematch.matcher import parse_mapping
 
 FIXTURES = Path(__file__).parent / "fixtures"
 G1 = str(FIXTURES / "g1.nt")
@@ -154,12 +155,60 @@ def test_sameas_equiv_flag(tmp_path, capsys):
     out = tmp_path / "merged.nt"
     rc = main(["integrate", G3, G4, "--equiv", f"sameas:{pairs}", "-o", str(out)])
     assert rc == 0
+    assert ("uri link: <http://www.example.com/music/v0/John_Lennon> "
+            "<http://www.dbpedia.org/John_Lennon>") in capsys.readouterr().err
+    # match reads the same flag: g3's address bnode, hung off the dbpedia
+    # name, aligns its hasAddress in-edge only when the names are one
+    moved = tmp_path / "moved.nt"
+    moved.write_text(Path(G3).read_text().replace(
+        "<http://www.example.com/music/v0/John_Lennon> "
+        "<http://www.example.com/music/v0/hasAddress>",
+        "<http://www.dbpedia.org/John_Lennon> <http://www.example.com/music/v0/hasAddress>",
+    ))
+    costs = []
+    for equiv in ("exact", f"sameas:{pairs}"):
+        mapping = tmp_path / "m.bm"
+        assert main(["match", G3, str(moved), "--equiv", equiv, "-o", str(mapping)]) == 0
+        lines = mapping.read_text().splitlines()
+        assert lines[0] == "M 3 3"
+        costs.append(lines[-1].split()[1])
+    assert costs == ["cost=2", "cost=0"]
+
+
+def test_diff_and_patch_with_n_triples_1_1_labels(tmp_path, capsys):
+    src = tmp_path / "a.nt"
+    dst = tmp_path / "b.nt"
+    src.write_text(
+        "_:genid-1 <http://x/p> _:b.1.\n"
+        "_:b.1 <http://x/q> \"v\" .\n"
+        "_:n\u00e9\u00b7x <http://x/q> \"w\" .\n"
+    )
+    dst.write_text(
+        "_:r-9 <http://x/p> _:r..2.\n"
+        "_:r..2 <http://x/q> \"v\" .\n"
+        "_:\u00e9\u0301 <http://x/q> \"w2\" .\n"
+    )
+    for labels in ("target", "source"):
+        delta = tmp_path / f"{labels}.rdfd"
+        patched = tmp_path / f"{labels}.nt"
+        assert main(["diff", str(src), str(dst), "--labels", labels, "-o", str(delta)]) == 0
+        assert main(["patch", str(src), str(delta), "-o", str(patched)]) == 0
+        assert graphs_equivalent(load_graph(str(patched)), load_graph(str(dst)))
+    assert "M genid-1 r-9" in (tmp_path / "target.rdfd").read_text().splitlines()
+    mapping = tmp_path / "m.bm"
+    assert main(["match", str(src), str(dst), "-o", str(mapping)]) == 0
+    pairs = {(a.value, b.value) for a, b in parse_mapping(mapping.read_text()).pairs.items()}
+    assert {("genid-1", "r-9"), ("b.1", "r..2")} <= pairs
     capsys.readouterr()
 
 
 def test_bad_equiv_value_is_usage_error(capsys):
     assert main(["diff", G1, G2, "--equiv", "fuzzy"]) == 2
-    capsys.readouterr()
+    message = capsys.readouterr().err
+    assert "bad --equiv value 'fuzzy'" in message
+    for verb in ("match", "integrate"):
+        assert main([verb, G1, G2, "--equiv", "fuzzy"]) == 2
+        assert capsys.readouterr().err == message
 
 
 class TestVersionStoreCommands:

@@ -9,6 +9,7 @@ from bnodematch import (
     Graph,
     Renaming,
     Triple,
+    bnode,
     graphs_equivalent,
     iri,
     literal,
@@ -142,3 +143,20 @@ def test_candidate_distances_match_pair_distance_under_suffix():
 def _drop_one_bnode(g: Graph) -> Graph:
     victim = min(g.bnodes(), key=lambda b: b.value)
     return Graph([t for t in g if victim not in (t.s, t.o)])
+
+
+def test_bnodes_that_differ_only_by_an_equivalent_predicate_are_linked():
+    a, b = "http://a.org/", "http://b.org/"
+    left = Graph([
+        Triple(bnode("x"), iri(a + "name"), literal("Yoko Ono")),
+        Triple(bnode("x"), iri(a + "street"), literal("West Street")),
+    ])
+    right = Graph([
+        Triple(bnode("y"), iri(b + "Name"), literal("Yoko Ono")),
+        Triple(bnode("y"), iri(b + "Street"), literal("West Street")),
+    ])
+    result = integrate_all([left, right], policy="suffix")
+    assert (iri(a + "name"), iri(b + "Name")) in result.uri_links
+    assert _links_without_prefix(result) == {("x", "y")}
+    assert [c.dist for c in result.candidates] == [0]
+    assert integrate_all([left, right], policy="exact").bnode_links == set()

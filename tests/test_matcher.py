@@ -25,11 +25,15 @@ from bnodematch import (
     pair_distance,
     rename_graph,
 )
+from bnodematch import ntriples
 from bnodematch.generator import GenSpec, generate_pair
 from bnodematch.matcher import (
     ASSIGNMENT,
     BRUTE_FORCE,
     REFINEMENT,
+    _incident_tokens,
+    _move_gain,
+    _oracle_dist,
     _PairContext,
     format_mapping,
     parse_mapping,
@@ -339,7 +343,8 @@ class TestCostMatrix:
         equiv = EquivalenceRelation.for_graphs("suffix", [g1, g2])
         ctx = _PairContext(g1, g2, equiv)
         # the two IRI objects share one representative: 2 tokens, degree 3
-        assert len(set(ctx._tokens(g1, b, side="left", m=None))) < ctx.penalty(b)
+        tokens = _incident_tokens(g1, b, ctx._ground, ntriples.render_term)
+        assert len(set(tokens)) < ctx.penalty(b)
         matrix = ctx.cost_matrix(ctx.left, ctx.right, {})
         np.testing.assert_array_equal(matrix, _per_cell_matrix(ctx, ctx.left, ctx.right, {}))
         assert matrix[0, 0] + ctx.penalty_right(bnode("c")) == 0
@@ -373,3 +378,106 @@ def test_assignment_tier_scales_to_fifteen_hundred_bnodes():
     assert m.method == ASSIGNMENT
     assert m.cost <= mapping_cost(pair.g1, pair.g2, pair.truth)
     assert elapsed < 5.0, f"n=1500 assignment took {elapsed:.1f} s"
+
+
+# -- one predicate rule: equivalence applies to predicates too ---------------
+
+
+def _all_iris_moved(g: Graph) -> Graph:
+    """Every IRI, predicates included, in another namespace with its case changed.
+
+    ``rename_graph`` never moves predicates, so the triples are rebuilt.
+    """
+
+    def move(term):
+        if term.kind != "iri":
+            return term
+        return iri("http://other.example/" + term.value.rsplit("/", 1)[1].upper())
+
+    return Graph([Triple(move(t.s), move(t.p), move(t.o)) for t in g], g.graph_id)
+
+
+def _moved_cases(count: int):
+    """Generated pairs n <= 6, flat and linked, with the right side's IRIs moved."""
+    for seed in range(count):
+        pair = small_pair(1100 + seed, bnodes=2 + seed % 5,
+                          connectivity=0.0 if seed % 2 else 0.5, mutations=seed % 4)
+        moved = _all_iris_moved(pair.g2)
+        yield seed, pair, moved, EquivalenceRelation.for_graphs("suffix", [pair.g1, moved])
+
+
+class TestPredicateEquivalence:
+    def test_tiers_against_the_oracle_with_predicates_moved(self):
+        tiers = set()
+        for seed, pair, moved, equiv in _moved_cases(28):
+            oracle = brute_force_match(pair.g1, moved, equiv)
+            # suffix equivalence undoes the move, predicates included
+            assert oracle.cost == brute_force_match(pair.g1, pair.g2).cost, f"seed {seed}"
+            exact = match_bnodes(pair.g1, moved, equiv)
+            assert (exact.method, exact.cost) == (BRUTE_FORCE, oracle.cost), f"seed {seed}"
+            forced = match_bnodes(pair.g1, moved, equiv, MatcherConfig(exact_threshold=0))
+            tiers.add(forced.method)
+            if forced.method == REFINEMENT:
+                assert forced.cost >= oracle.cost, f"seed {seed}"
+            else:  # the assignment tier, or the exact one on an empty side
+                assert forced.cost == oracle.cost, f"seed {seed}"
+            assert mapping_cost(pair.g1, moved, forced.pairs, equiv) == forced.cost
+        assert {ASSIGNMENT, REFINEMENT} <= tiers
+
+    def test_distances_agree_with_the_oracle_route_and_the_lower_bound(self):
+        for seed, pair, moved, equiv in _moved_cases(16):
+            if len(pair.g1.bnodes()) > len(moved.bnodes()):
+                continue
+            ctx = _PairContext(pair.g1, moved, equiv)
+            rng = random.Random(seed)
+            k = rng.randint(0, len(ctx.left))
+            m = dict(zip(rng.sample(ctx.left, k), rng.sample(ctx.right, k)))
+            for b1 in ctx.left:
+                for b2 in ctx.right:
+                    d = ctx.dist(b1, b2, m)
+                    assert ctx.lower_bound(b1, b2) <= d, f"seed {seed}"
+                    assert d == _oracle_dist(pair.g1, moved, b1, b2, m, equiv), f"seed {seed}"
+
+    def test_signatures_see_equivalent_predicates_as_one(self):
+        pair = small_pair(5, bnodes=6, connectivity=0.5, mutations=0)
+        moved = _all_iris_moved(pair.g1)
+        equiv = EquivalenceRelation.for_graphs("suffix", [pair.g1, moved])
+        for rounds in (1, 2, 3):
+            before = build_signatures(pair.g1, equiv, rounds)
+            after = build_signatures(moved, equiv, rounds)
+            assert {b: s.color for b, s in before.items()} == {
+                b: s.color for b, s in after.items()
+            }
+
+
+# -- one gain rule -----------------------------------------------------------
+
+
+def test_move_gain_equals_the_change_of_the_full_objective():
+    rng = random.Random(17)
+    checked = 0
+    for seed in range(10):
+        for pair, ctx in _contexts(200 + seed, 0.5):
+            left, right = ctx.left, ctx.right
+            k = rng.randint(0, len(left))
+            m = dict(zip(rng.sample(left, k), rng.sample(right, k)))
+            for _ in range(25):
+                b1 = rng.choice(left)
+                unused = [b for b in right if b not in set(m.values())]
+                kind = rng.choice(("swap", "reassign", "unmap"))
+                if kind == "swap" and len(m) >= 2:
+                    a, b = rng.sample(sorted(m, key=lambda t: t.value), 2)
+                    new_m = dict(m)
+                    new_m[a], new_m[b] = m[b], m[a]
+                    moved = (a, b)
+                elif kind == "reassign" and unused:
+                    new_m = {x: y for x, y in m.items() if x != b1} | {b1: rng.choice(unused)}
+                    moved = (b1,)
+                else:
+                    new_m = {x: y for x, y in m.items() if x != b1}
+                    moved = (b1,)
+                assert _move_gain(ctx, m, new_m, moved) == \
+                    ctx.eval_cost(new_m) - ctx.eval_cost(m), f"seed {seed}"
+                checked += 1
+                m = new_m
+    assert checked == 10 * 4 * 25

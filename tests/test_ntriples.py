@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bnodematch import Graph, Triple, bnode, iri, literal, parse_ntriples, serialize_ntriples
-from bnodematch.ntriples import ParseError, parse_triple_line, render_triple
+from bnodematch.ntriples import LABEL_RE, ParseError, parse_triple_line, render_triple
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -136,3 +136,49 @@ def test_round_trip_preserves_any_graph(g):
 def test_rendered_triple_reparses(triples):
     for t in triples:
         assert parse_triple_line(render_triple(t)) == t
+
+
+# -- N-Triples 1.1 blank node labels -----------------------------------------
+
+# BLANK_NODE_LABEL: a letter, "_", ":" or digit first; then "-", ".", "·",
+# combining marks and non-ASCII letters too, but never a final ".".
+_FIRST = "aZ_:07é\u00c0\u0370\u3001\U00010000"
+_INNER = _FIRST + "-.\u00b7\u0301\u203f"
+_LAST = _FIRST + "-\u00b7\u0301\u203f"
+_wide_labels = st.one_of(
+    st.sampled_from(_FIRST),
+    st.builds(lambda a, mid, z: a + mid + z, st.sampled_from(_FIRST),
+              st.text(alphabet=_INNER, max_size=4), st.sampled_from(_LAST)),
+)
+_wide_bnodes = st.builds(bnode, _wide_labels)
+
+
+@pytest.mark.parametrize("label", ["genid-1", "b.1", "1", "b..1", "a\u00b7b", "x\u0301", "n\u00e9", "a:b"])
+def test_n_triples_1_1_labels_parse(label):
+    t = parse_triple_line(f"_:{label} <http://x/p> _:{label}.")
+    assert t.s == bnode(label) and t.o == bnode(label)
+
+
+@pytest.mark.parametrize("label", ["-a", ".a", "a b", "\u00b7a"])
+def test_labels_outside_the_production_are_rejected(label):
+    with pytest.raises(ParseError):
+        parse_triple_line(f"_:{label} <http://x/p> <http://x/o> .")
+
+
+def test_a_final_dot_is_the_terminator():
+    t = parse_triple_line("_:b.1 <http://x/p> _:b1.")
+    assert (t.s, t.o) == (bnode("b.1"), bnode("b1"))
+
+
+@given(st.sets(st.builds(Triple, st.one_of(_iris, _wide_bnodes), _iris,
+                         st.one_of(_iris, _wide_bnodes, _lits)), max_size=8))
+def test_round_trip_with_n_triples_1_1_labels(triples):
+    g = Graph(triples)
+    text = serialize_ntriples(g)
+    again = parse_ntriples(text).graph
+    assert again == g
+    assert serialize_ntriples(again) == text
+    for b in g.bnodes():
+        assert LABEL_RE.fullmatch(b.value)
+        # no space before the terminator either
+        assert parse_triple_line(f"_:{b.value} <http://x/p> _:{b.value}.").o == b

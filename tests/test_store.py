@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,11 +93,36 @@ def test_init_refuses_nonempty_directories(tmp_path, g1):
 
 
 def test_lock_excludes_concurrent_writers(repo, g2):
-    (repo.path / "lock").write_text("123")
-    with pytest.raises(StoreError):
+    # a live writer: this process
+    (repo.path / "lock").write_text(str(os.getpid()))
+    with pytest.raises(StoreError, match=re.escape(str(repo.path / "lock"))):
         repo.commit(g2)
     (repo.path / "lock").unlink()
     repo.commit(g2)  # proceeds once the lock is gone
+
+
+def _exited_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped, so the pid names no process
+    return child.pid
+
+
+def test_lock_of_an_exited_writer_is_cleared(repo, g2):
+    lock = repo.path / "lock"
+    lock.write_text(str(_exited_pid()))
+    assert repo.commit(g2).size == 1
+    assert repo.version_count == 2
+    assert not lock.exists()  # the commit released the lock it took over
+
+
+@pytest.mark.parametrize("content", ["", "not-a-pid", "0", "-1"])
+def test_empty_or_unparsable_lock_still_blocks(repo, g2, content):
+    lock = repo.path / "lock"
+    lock.write_text(content)
+    with pytest.raises(StoreError, match=re.escape(str(lock))):
+        repo.commit(g2)
+    assert lock.exists()
+    assert repo.version_count == 1
 
 
 class TestSyncPatch:
