@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 import time
@@ -266,7 +267,9 @@ def _add_equiv_flag(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; built once per process, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="bnodematch",
         description="Blank-node aware diff, patch, matching, and integration for RDF graphs.",
@@ -363,13 +366,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (StoreError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except SearchBudgetExceeded as exc:
+    except (ParseError, StoreError, OSError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (UsageError, ValueError) as exc:

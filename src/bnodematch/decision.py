@@ -7,14 +7,23 @@ had to approximate.  Entailment asks for a (not necessarily injective)
 function from the entailed graph's bnodes into the entailing graph's
 bnodes and IRIs under which every triple is contained.
 
+Both decisions run one search, ``_search``: a depth-first walk over the
+bnodes in a fixed order that keeps an explicit stack of candidate
+iterators, so its depth is bounded by memory and not by the interpreter's
+recursion limit, and checks each try with one consistency rule,
+``_holds``.  Equivalence takes its candidates from stable color classes
+and keeps the map injective; entailment takes them from the smallest
+index set of subjects or objects that a ground incident triple allows.
+
 Both searches are worst-case exponential; a node budget raises rather
 than ever answering wrongly.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import Collection, Iterator, Mapping, Optional
 
 from .delta import TARGET_LABELS, mapped_delta, plain_delta
 from .matcher import (
@@ -27,7 +36,6 @@ from .matcher import (
 from .equivalence import EquivalenceRelation
 from .model import (
     BNODE,
-    IRI,
     LITERAL,
     Graph,
     Renaming,
@@ -87,59 +95,70 @@ def _bijection_search(g1: Graph, g2: Graph, budget: _Budget) -> Optional[dict[Te
     if _ground_triples(g1) != _ground_triples(g2):
         return None
     sig1, sig2 = _stable_signatures(g1, g2, EquivalenceRelation.exact())
+    # A bijection maps color classes onto color classes of the same size.
+    if Counter(s.color for s in sig1.values()) != Counter(s.color for s in sig2.values()):
+        return None
     by_color: dict[str, list[Term]] = {}
     for b, s in sig2.items():
         by_color.setdefault(s.color, []).append(b)
     candidates = {
-        b1: sorted(by_color.get(s.color, []), key=Term.sort_key)
-        for b1, s in sig1.items()
+        b1: sorted(by_color[s.color], key=Term.sort_key) for b1, s in sig1.items()
     }
-    # A bijection maps color classes onto color classes of the same size.
-    sizes1: dict[str, int] = {}
-    for s in sig1.values():
-        sizes1[s.color] = sizes1.get(s.color, 0) + 1
-    sizes2: dict[str, int] = {}
-    for s in sig2.values():
-        sizes2[s.color] = sizes2.get(s.color, 0) + 1
-    if sizes1 != sizes2:
-        return None
-
     order = sorted(candidates, key=lambda b: (len(candidates[b]), b.sort_key()))
+    return _search(g1, g2, order, candidates, budget, injective=True)
+
+
+def _holds(g_from: Graph, g_to: Graph, b: Term, assignment: Mapping[Term, Term]) -> bool:
+    """True iff every triple at ``b`` whose bnodes are all assigned maps into ``g_to``."""
+    for t in incident_triples(g_from, b):
+        if t.s.kind == BNODE and t.s not in assignment:
+            continue
+        if t.o.kind == BNODE and t.o not in assignment:
+            continue
+        if Triple(assignment.get(t.s, t.s), t.p, assignment.get(t.o, t.o)) not in g_to:
+            return False
+    return True
+
+
+def _search(
+    g_from: Graph,
+    g_to: Graph,
+    order: list[Term],
+    candidates: Mapping[Term, list[Term]],
+    budget: _Budget,
+    injective: bool,
+) -> Optional[dict[Term, Term]]:
+    """First assignment of ``order`` under which ``g_from``'s triples land in ``g_to``.
+
+    Bnodes are assigned in ``order``, each trying its candidates in list
+    order; an injective search skips images already taken.  ``stack[i]``
+    is the iterator over the candidates of ``order[i]`` not tried yet, so
+    backtracking resumes it where it stopped.  Every tried candidate costs
+    one budget tick.
+    """
     assignment: dict[Term, Term] = {}
     used: set[Term] = set()
-
-    def consistent(b1: Term) -> bool:
-        # Check every incident triple whose bnodes are all assigned by now.
-        for t in incident_triples(g1, b1):
-            if t.s.kind == BNODE and t.s not in assignment:
-                continue
-            if t.o.kind == BNODE and t.o not in assignment:
-                continue
-            s = assignment.get(t.s, t.s)
-            o = assignment.get(t.o, t.o)
-            if Triple(s, t.p, o) not in g2:
-                return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        b1 = order[i]
-        for b2 in candidates[b1]:
-            if b2 in used:
+    stack: list[Iterator[Term]] = []
+    while len(assignment) < len(order):
+        if len(stack) == len(assignment):
+            stack.append(iter(candidates[order[len(stack)]]))
+        b = order[len(stack) - 1]
+        for x in stack[-1]:
+            if x in used:
                 continue
             budget.tick()
-            assignment[b1] = b2
-            used.add(b2)
-            if consistent(b1) and backtrack(i + 1):
-                return True
-            del assignment[b1]
-            used.discard(b2)
-        return False
-
-    if backtrack(0):
-        return dict(assignment)
-    return None
+            assignment[b] = x
+            if _holds(g_from, g_to, b, assignment):
+                if injective:
+                    used.add(x)
+                break
+            del assignment[b]
+        else:
+            stack.pop()
+            if not stack:
+                return None
+            used.discard(assignment.pop(order[len(stack) - 1]))
+    return assignment
 
 
 def find_equivalence_bijection(
@@ -200,21 +219,28 @@ class _EntailIndex:
 
 
 def _candidates(g2: Graph, b2: Term, index: _EntailIndex, universe: list[Term]) -> list[Term]:
+    """Terms of ``universe`` that can stand for ``b2`` in every incident triple.
+
+    A triple that joins ``b2`` to a ground term confines it to one index
+    set (``po`` as subject, ``sp`` as object); only the smallest such set,
+    or the universe if there is none, is scanned.
+    """
     patterns = []
+    pools: list[Collection[Term]] = [universe]
     for t in incident_triples(g2, b2):
         s = "slot" if t.s == b2 else (None if t.s.kind == BNODE else t.s)
         o = "slot" if t.o == b2 else (None if t.o.kind == BNODE else t.o)
         patterns.append((s, t.p, o))
+        if t.s == b2 and t.o.kind != BNODE:
+            pools.append(index.po.get((t.p, t.o), ()))
+        elif t.o == b2 and t.s.kind != BNODE:
+            pools.append(index.sp.get((t.s, t.p), ()))
     out = []
-    for x in universe:
-        ok = True
-        for s, p, o in patterns:
-            sv = x if s == "slot" else s
-            ov = x if o == "slot" else o
-            if not index.pattern_holds(sv, p, ov):
-                ok = False
-                break
-        if ok:
+    for x in sorted(min(pools, key=len), key=Term.sort_key):
+        if x.kind != LITERAL and all(
+            index.pattern_holds(x if s == "slot" else s, p, x if o == "slot" else o)
+            for s, p, o in patterns
+        ):
             out.append(x)
     return out
 
@@ -244,38 +270,10 @@ def entails(
 
     tracker = _Budget(budget)
     assignments: dict[Term, Term] = {}
-
-    def consistent(b2: Term, local: dict[Term, Term]) -> bool:
-        # Bnodes sharing a triple are in the same component, so a triple is
-        # fully decided as soon as all its bnode positions are in `local`.
-        for t in incident_triples(g2, b2):
-            if t.s.kind == BNODE and t.s not in local:
-                continue
-            if t.o.kind == BNODE and t.o not in local:
-                continue
-            s = local.get(t.s, t.s)
-            o = local.get(t.o, t.o)
-            if Triple(s, t.p, o) not in g1:
-                return False
-        return True
-
     for component in bnode_components(g2):
         order = sorted(component, key=lambda b: (len(candidates[b]), b.sort_key()))
-        local: dict[Term, Term] = {}
-
-        def backtrack(i: int) -> bool:
-            if i == len(order):
-                return True
-            b2 = order[i]
-            for x in candidates[b2]:
-                tracker.tick()
-                local[b2] = x
-                if consistent(b2, local) and backtrack(i + 1):
-                    return True
-                del local[b2]
-            return False
-
-        if not backtrack(0):
+        local = _search(g2, g1, order, candidates, tracker, injective=False)
+        if local is None:
             return None
         assignments.update(local)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from . import ntriples
-from .matcher import BnodeMapping
+from .matcher import BnodeMapping, _as_dict
 from .model import BNODE, Graph, Renaming, Term, Triple, bnode, rename_graph
 
 TARGET_LABELS = "target-labels"
@@ -67,14 +67,6 @@ def _fresh_label(base: str, used: set[str]) -> str:
     return candidate
 
 
-def _as_pairs(mapping: Union[BnodeMapping, dict, None]) -> dict[Term, Term]:
-    if mapping is None:
-        return {}
-    if isinstance(mapping, BnodeMapping):
-        return dict(mapping.pairs)
-    return dict(mapping)
-
-
 def _check_mapping(pairs: dict[Term, Term], g1: Graph) -> None:
     seen: set[Term] = set()
     for src, dst in pairs.items():
@@ -102,7 +94,7 @@ def mapped_delta(
     collision-free substitute labels, so no source-scope label leaks into
     a target-labels script (and vice versa).
     """
-    pairs = _as_pairs(mapping)
+    pairs = _as_dict(mapping)
     _check_mapping(pairs, g1)
     method = mapping.method if isinstance(mapping, BnodeMapping) else ""
     cost = mapping.cost if isinstance(mapping, BnodeMapping) else 0

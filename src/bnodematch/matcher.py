@@ -115,9 +115,6 @@ class BnodeMapping:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def image(self, b: Term) -> Optional[Term]:
-        return self.pairs.get(b)
-
     def inverted(self) -> "BnodeMapping":
         return BnodeMapping(
             {b: a for a, b in self.pairs.items()},
@@ -358,6 +355,21 @@ def _color_of(tokens: Iterable[str]) -> str:
     return digest.hexdigest()
 
 
+def _refine(g: Graph, ground: Callable[[Term], str],
+            prev: Optional[dict[Term, Signature]]) -> dict[Term, Signature]:
+    """One color-refinement round: the signatures that follow ``prev``.
+
+    Each neighbor bnode is named by its color in ``prev``, or by one
+    generic placeholder when there is no previous round.
+    """
+    neighbor = _wildcard if prev is None else (lambda n: prev[n].color)
+    sigs = {}
+    for b in sorted(g.bnodes(), key=Term.sort_key):
+        tokens = tuple(sorted(_incident_tokens(g, b, ground, neighbor)))
+        sigs[b] = Signature(b, tokens, _color_of(tokens))
+    return sigs
+
+
 def build_signatures(
     g: Graph,
     equiv: Optional[EquivalenceRelation] = None,
@@ -366,38 +378,35 @@ def build_signatures(
     """Color-refinement signatures after the given number of rounds.
 
     Round 1 sees every neighbor bnode as one generic placeholder; each
-    later round re-tokenizes with the neighbor colors of the previous
-    round.  Colors are content digests, so signatures built from two
-    different graphs at the same round are directly comparable.
+    later round is one ``_refine`` step, which re-tokenizes with the
+    neighbor colors of the previous round.  Colors are content digests, so
+    signatures built from two different graphs at the same round are
+    directly comparable.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     ground = _grounder(equiv or EquivalenceRelation.exact())
-    colors: Optional[dict[Term, str]] = None
-    tokens: dict[Term, tuple[str, ...]] = {}
+    sigs = None
     for _ in range(rounds):
-        neighbor = _wildcard if colors is None else colors.__getitem__
-        tokens = {
-            b: tuple(sorted(_incident_tokens(g, b, ground, neighbor))) for b in g.bnodes()
-        }
-        colors = {b: _color_of(toks) for b, toks in tokens.items()}
-    assert colors is not None
-    return {
-        b: Signature(b, tokens[b], colors[b])
-        for b in sorted(g.bnodes(), key=Term.sort_key)
-    }
+        sigs = _refine(g, ground, sigs)
+    assert sigs is not None
+    return sigs
 
 
 def _stable_signatures(
     g1: Graph, g2: Graph, equiv: EquivalenceRelation
 ) -> tuple[dict[Term, Signature], dict[Term, Signature]]:
-    """Refine both graphs in lockstep until the joint partition stabilizes."""
-    cap = max(1, len(g1.bnodes()) + len(g2.bnodes()))
+    """Refine both graphs in lockstep until the joint partition stabilizes.
+
+    Each round is one ``_refine`` step per graph from that graph's previous
+    round, so round r costs one token pass and the result equals
+    ``build_signatures(g, equiv, r)`` for each graph.
+    """
+    ground = _grounder(equiv)
+    sig1 = sig2 = None
     prev_partition = None
-    rounds = 1
-    while True:
-        sig1 = build_signatures(g1, equiv, rounds)
-        sig2 = build_signatures(g2, equiv, rounds)
+    for _ in range(max(1, len(g1.bnodes()) + len(g2.bnodes()))):
+        sig1, sig2 = _refine(g1, ground, sig1), _refine(g2, ground, sig2)
         # Color strings evolve every round even once the grouping is fixed,
         # so stability is judged on the blocks, not on the color values.
         blocks: list[frozenset] = []
@@ -407,10 +416,10 @@ def _stable_signatures(
                 by_color.setdefault(s.color, set()).add(b.value)
             blocks.append(frozenset(frozenset(v) for v in by_color.values()))
         partition = tuple(blocks)
-        if partition == prev_partition or rounds >= cap:
-            return sig1, sig2
+        if partition == prev_partition:
+            break
         prev_partition = partition
-        rounds += 1
+    return sig1, sig2
 
 
 # -- solver tiers -----------------------------------------------------------

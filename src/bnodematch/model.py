@@ -184,23 +184,11 @@ class Renaming:
                 raise ValueError(f"{src!r} cannot be renamed to a literal")
         object.__setattr__(self, "pairs", dict(self.pairs))
 
-    @classmethod
-    def of(cls, mapping: Mapping[Term, Term]) -> "Renaming":
-        return cls(dict(mapping))
-
     def __len__(self) -> int:
         return len(self.pairs)
 
     def image(self, term: Term) -> Term:
         return self.pairs.get(term, term)
-
-    def inverse(self) -> "Renaming":
-        inv: dict[Term, Term] = {}
-        for src, dst in self.pairs.items():
-            if dst in inv:
-                raise ValueError("renaming is not injective; cannot invert")
-            inv[dst] = src
-        return Renaming(inv)
 
     def __hash__(self) -> int:
         return hash(frozenset(self.pairs.items()))

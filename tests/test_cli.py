@@ -97,6 +97,31 @@ def test_diff_patch_pipe_round_trips_byte_identically(tmp_path):
     assert patch.stdout == canonical.stdout
 
 
+def test_one_process_runs_verbs_as_separate_processes_do(tmp_path, capsys):
+    # main reuses one parser for the life of the process; parsing must
+    # leave nothing behind that changes a later command.
+    def commands(repo: str) -> list[list[str]]:
+        return [
+            ["diff", G1, G2, "--labels", "source"],
+            ["equiv", G1, G2NB],
+            ["equiv", G1, G2],
+            ["vs", "init", repo, G1],
+            ["vs", "commit", repo, G2],
+            ["diff", G2, G3, "--equiv", "suffix", "--exact-threshold", "0"],
+        ]
+
+    separate = [
+        subprocess.run([sys.executable, "-m", "bnodematch", *argv],
+                       capture_output=True, text=True)
+        for argv in commands(str(tmp_path / "separate"))
+    ]
+    capsys.readouterr()
+    for argv, expected in zip(commands(str(tmp_path / "one")), separate):
+        assert main(argv) == expected.returncode, argv
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected.stdout, expected.stderr), argv
+
+
 class TestDecisionCommands:
     def test_equiv_yes_prints_the_bijection(self, capsys):
         assert main(["equiv", G1, G2NB]) == 0

@@ -4,25 +4,53 @@ from __future__ import annotations
 
 import itertools
 import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+from typing import Optional
 
 import pytest
 
 from bnodematch import (
     EntailmentMapping,
+    EquivalenceRelation,
     Graph,
     MatcherConfig,
     Renaming,
+    Term,
     Triple,
     bnode,
+    build_signatures,
     entails,
     find_equivalence_bijection,
     graphs_equivalent,
     iri,
     literal,
+    ntriples,
     rename_graph,
     verify_entailment,
 )
-from bnodematch.decision import SearchBudgetExceeded, _bijection_search, _Budget
+from bnodematch import decision
+from bnodematch.decision import (
+    DEFAULT_BUDGET,
+    SearchBudgetExceeded,
+    _bijection_search,
+    _Budget,
+    _candidates,
+    _EntailIndex,
+    _ground_triples,
+)
+from bnodematch.generator import GenSpec, generate_pair
+from bnodematch.matcher import (
+    _color_of,
+    _grounder,
+    _incident_tokens,
+    _stable_signatures,
+    _wildcard,
+    Signature,
+)
+from bnodematch.model import BNODE, bnode_components, incident_triples
 from conftest import random_relabeling, small_pair
 
 NAME = iri("http://example.org/name")
@@ -201,3 +229,334 @@ def test_equivalence_implies_mutual_entailment(g1, g2_no_birthday):
     assert graphs_equivalent(g1, g2_no_birthday)
     assert entails(g1, g2_no_birthday) is not None
     assert entails(g2_no_birthday, g1) is not None
+
+
+# -- the recursive searches and the universe scan that ``_search`` and the
+# -- index-seeded ``_candidates`` replaced, kept as references ---------------
+
+
+def _reference_consistent(g_from: Graph, g_to: Graph, b: Term, assignment) -> bool:
+    for t in incident_triples(g_from, b):
+        if t.s.kind == BNODE and t.s not in assignment:
+            continue
+        if t.o.kind == BNODE and t.o not in assignment:
+            continue
+        s = assignment.get(t.s, t.s)
+        o = assignment.get(t.o, t.o)
+        if Triple(s, t.p, o) not in g_to:
+            return False
+    return True
+
+
+def _reference_bijection_search(g1: Graph, g2: Graph, budget: _Budget):
+    if _ground_triples(g1) != _ground_triples(g2):
+        return None
+    sig1, sig2 = _stable_signatures(g1, g2, EquivalenceRelation.exact())
+    by_color: dict[str, list[Term]] = {}
+    for b, s in sig2.items():
+        by_color.setdefault(s.color, []).append(b)
+    candidates = {
+        b1: sorted(by_color.get(s.color, []), key=Term.sort_key)
+        for b1, s in sig1.items()
+    }
+    sizes1: dict[str, int] = {}
+    for s in sig1.values():
+        sizes1[s.color] = sizes1.get(s.color, 0) + 1
+    sizes2: dict[str, int] = {}
+    for s in sig2.values():
+        sizes2[s.color] = sizes2.get(s.color, 0) + 1
+    if sizes1 != sizes2:
+        return None
+
+    order = sorted(candidates, key=lambda b: (len(candidates[b]), b.sort_key()))
+    assignment: dict[Term, Term] = {}
+    used: set[Term] = set()
+
+    def backtrack(i: int) -> bool:
+        if i == len(order):
+            return True
+        b1 = order[i]
+        for b2 in candidates[b1]:
+            if b2 in used:
+                continue
+            budget.tick()
+            assignment[b1] = b2
+            used.add(b2)
+            if _reference_consistent(g1, g2, b1, assignment) and backtrack(i + 1):
+                return True
+            del assignment[b1]
+            used.discard(b2)
+        return False
+
+    if backtrack(0):
+        return dict(assignment)
+    return None
+
+
+def _reference_candidates(g2: Graph, b2: Term, index: _EntailIndex,
+                          universe: list[Term]) -> list[Term]:
+    patterns = []
+    for t in incident_triples(g2, b2):
+        s = "slot" if t.s == b2 else (None if t.s.kind == BNODE else t.s)
+        o = "slot" if t.o == b2 else (None if t.o.kind == BNODE else t.o)
+        patterns.append((s, t.p, o))
+    out = []
+    for x in universe:
+        ok = True
+        for s, p, o in patterns:
+            sv = x if s == "slot" else s
+            ov = x if o == "slot" else o
+            if not index.pattern_holds(sv, p, ov):
+                ok = False
+                break
+        if ok:
+            out.append(x)
+    return out
+
+
+def _reference_entails(g1: Graph, g2: Graph, tracker: _Budget) -> Optional[dict[Term, Term]]:
+    for t in _ground_triples(g2):
+        if t not in g1:
+            return None
+    if not g2.bnodes():
+        return {}
+    index = _EntailIndex(g1)
+    universe = sorted(g1.bnodes() | g1.uris(), key=Term.sort_key)
+    candidates = {b2: _reference_candidates(g2, b2, index, universe) for b2 in g2.bnodes()}
+    if any(not c for c in candidates.values()):
+        return None
+    assignments: dict[Term, Term] = {}
+    for component in bnode_components(g2):
+        order = sorted(component, key=lambda b: (len(candidates[b]), b.sort_key()))
+        local: dict[Term, Term] = {}
+
+        def backtrack(i: int) -> bool:
+            if i == len(order):
+                return True
+            b2 = order[i]
+            for x in candidates[b2]:
+                tracker.tick()
+                local[b2] = x
+                if _reference_consistent(g2, g1, b2, local) and backtrack(i + 1):
+                    return True
+                del local[b2]
+            return False
+
+        if not backtrack(0):
+            return None
+        assignments.update(local)
+    return assignments
+
+
+def _reference_signatures(g: Graph, equiv: EquivalenceRelation, rounds: int):
+    """Round ``rounds`` computed from scratch, replaying every earlier round."""
+    ground = _grounder(equiv)
+    colors = None
+    tokens: dict[Term, tuple[str, ...]] = {}
+    for _ in range(rounds):
+        neighbor = _wildcard if colors is None else colors.__getitem__
+        tokens = {
+            b: tuple(sorted(_incident_tokens(g, b, ground, neighbor))) for b in g.bnodes()
+        }
+        colors = {b: _color_of(toks) for b, toks in tokens.items()}
+    return {
+        b: Signature(b, tokens[b], colors[b])
+        for b in sorted(g.bnodes(), key=Term.sort_key)
+    }
+
+
+def _reference_stable_signatures(g1: Graph, g2: Graph, equiv: EquivalenceRelation):
+    cap = max(1, len(g1.bnodes()) + len(g2.bnodes()))
+    prev_partition = None
+    rounds = 1
+    while True:
+        sig1 = _reference_signatures(g1, equiv, rounds)
+        sig2 = _reference_signatures(g2, equiv, rounds)
+        blocks: list[frozenset] = []
+        for sigs in (sig1, sig2):
+            by_color: dict[str, set[str]] = {}
+            for b, s in sigs.items():
+                by_color.setdefault(s.color, set()).add(b.value)
+            blocks.append(frozenset(frozenset(v) for v in by_color.values()))
+        partition = tuple(blocks)
+        if partition == prev_partition or rounds >= cap:
+            return sig1, sig2, rounds
+        prev_partition = partition
+        rounds += 1
+
+
+def _cycles(lengths: list[int]) -> Graph:
+    """Directed bnode cycles of the given lengths, all on one predicate."""
+    step = iri("http://example.org/next")
+    triples, start = [], 0
+    for k in lengths:
+        triples += [Triple(bnode(f"n{start + i}"), step, bnode(f"n{start + (i + 1) % k}"))
+                    for i in range(k)]
+        start += k
+    return Graph(triples)
+
+
+def _differential_pairs():
+    """Ordered pairs for the differential test.
+
+    Both orders of 120 seeded relabelled-and-mutated pairs, flat and
+    linked, n <= 30; half use vocabularies of four IRIs and three literals.
+    Then cycles, which colour refinement cannot split, so both searches
+    backtrack: two k-cycles against one 2k-cycle and each against a
+    relabelling of itself.
+    """
+    for seed in range(120):
+        small = seed % 4 < 2
+        pair = generate_pair(GenSpec(
+            bnode_count=2 + seed % 29,
+            ground_triples=3 + seed % 7,
+            connectivity=0.0 if seed % 2 else 0.3,
+            mutation_ops=seed % 3,
+            seed=900 + seed,
+            uri_pool=4 if small else 20,
+            literal_pool=3 if small else 30,
+        ))
+        yield pair.g1, pair.g2
+        yield pair.g2, pair.g1
+    for k in range(3, 7):
+        two, one = _cycles([k, k]), _cycles([2 * k])
+        yield two, one
+        yield one, two
+        for g in (two, one):
+            yield g, rename_graph(g, random_relabeling(g, random.Random(k)))
+
+
+class TestAgainstTheReplacedSearches:
+    def test_same_witnesses_candidates_and_budget(self, monkeypatch):
+        budgets: list[_Budget] = []
+
+        class Recorded(_Budget):
+            def __init__(self, limit: int) -> None:
+                super().__init__(limit)
+                budgets.append(self)
+
+        monkeypatch.setattr(decision, "_Budget", Recorded)
+        equivalent = entailing = bijection_backtracked = entail_backtracked = 0
+        for a, b in _differential_pairs():
+            old, new = _Budget(DEFAULT_BUDGET), _Budget(DEFAULT_BUDGET)
+            witness = _bijection_search(a, b, new)
+            assert witness == _reference_bijection_search(a, b, old)
+            assert new.spent == old.spent
+            equivalent += witness is not None
+            bijection_backtracked += new.spent > len(a.bnodes())
+
+            index = _EntailIndex(a)
+            universe = sorted(a.bnodes() | a.uris(), key=Term.sort_key)
+            for b2 in b.bnodes():
+                assert _candidates(b, b2, index, universe) == _reference_candidates(
+                    b, b2, index, universe)
+
+            budgets.clear()
+            old = _Budget(DEFAULT_BUDGET)
+            got = entails(a, b)
+            assert (None if got is None else got.assignments) == _reference_entails(a, b, old)
+            assert (budgets[0].spent if budgets else 0) == old.spent
+            entailing += got is not None
+            entail_backtracked += old.spent > len(b.bnodes())
+        assert equivalent > 20 and entailing > 40
+        assert bijection_backtracked >= 8 and entail_backtracked > 10
+
+    def test_stable_signatures_equal_build_signatures_at_the_final_round(self, g1, g2, g3, g4,
+                                                                       g2_no_birthday):
+        fixtures = [g1, g2, g3, g4, g2_no_birthday]
+        linked = [
+            generate_pair(GenSpec(bnode_count=n, ground_triples=n // 2, connectivity=0.3,
+                                  mutation_ops=n % 4, seed=300 + n))
+            for n in range(4, 40, 3)
+        ]
+        pairs = list(itertools.permutations(fixtures, 2)) + [(p.g1, p.g2) for p in linked]
+        for policy in ("exact", "suffix"):
+            for a, b in pairs:
+                equiv = EquivalenceRelation.for_graphs(policy, [a, b])
+                sig1, sig2 = _stable_signatures(a, b, equiv)
+                ref1, ref2, rounds = _reference_stable_signatures(a, b, equiv)
+                assert list(sig1.items()) == list(ref1.items())
+                assert list(sig2.items()) == list(ref2.items())
+                assert list(build_signatures(a, equiv, rounds).items()) == list(ref1.items())
+
+
+# -- long RDF collections -------------------------------------------------------
+
+RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+FIRST, REST, NIL = iri(RDF + "first"), iri(RDF + "rest"), iri(RDF + "nil")
+
+
+def _collection(items: list[Term]) -> Graph:
+    """An RDF list of ``items``: one bnode cell per item, hung from one IRI."""
+    cells = [bnode(f"c{i}") for i in range(len(items))]
+    triples = [Triple(iri("http://example.org/s"), iri("http://example.org/items"), cells[0])]
+    for i, (cell, item) in enumerate(zip(cells, items)):
+        triples.append(Triple(cell, FIRST, item))
+        triples.append(Triple(cell, REST, cells[i + 1] if i + 1 < len(cells) else NIL))
+    return Graph(triples)
+
+
+@pytest.fixture(scope="module")
+def long_list() -> tuple[Graph, Graph]:
+    g = _collection([literal(f"item {i}") for i in range(1500)])
+    return g, rename_graph(g, random_relabeling(g, random.Random(3)))
+
+
+def _cli_entail(g1: Graph, g2: Graph, tmp_path: Path) -> subprocess.CompletedProcess:
+    paths = [tmp_path / "g1.nt", tmp_path / "g2.nt"]
+    for g, path in zip((g1, g2), paths):
+        ntriples.save_graph(g, str(path))
+    return subprocess.run([sys.executable, "-m", "bnodematch", "entail", *map(str, paths)],
+                          capture_output=True, text=True)
+
+
+class TestLongCollections:
+    def test_entails_a_relabelled_1500_item_list(self, long_list, tmp_path):
+        g, relabelled = long_list
+        start = time.perf_counter()
+        witness = entails(g, relabelled)
+        assert time.perf_counter() - start < 5
+        assert witness is not None and verify_entailment(g, relabelled, witness)
+
+        start = time.perf_counter()
+        run = _cli_entail(g, relabelled, tmp_path)
+        assert time.perf_counter() - start < 5
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "".join(
+            f"M {b.value} {ntriples.render_term(x)}\n"
+            for b, x in sorted(witness.assignments.items(), key=lambda p: p[0].value)
+        )
+
+    def test_one_changed_item_breaks_the_entailment(self, long_list, tmp_path):
+        g, relabelled = long_list
+        changed = Graph(
+            Triple(t.s, t.p, literal("changed")) if t.o == literal("item 700") else t
+            for t in relabelled
+        )
+        start = time.perf_counter()
+        assert entails(g, changed) is None
+        run = _cli_entail(g, changed, tmp_path)
+        assert time.perf_counter() - start < 5
+        assert run.returncode == 1
+        assert "no entailment" in run.stderr and "Traceback" not in run.stderr
+
+    def test_bijection_search_on_a_1500_item_list(self, long_list):
+        g, relabelled = long_list
+        start = time.perf_counter()
+        witness = _bijection_search(g, relabelled, _Budget(DEFAULT_BUDGET))
+        assert time.perf_counter() - start < 5
+        assert witness is not None
+        assert rename_graph(g, Renaming(witness)) == relabelled
+
+    def test_list_of_equal_items_refines_round_on_round(self):
+        # Colour refinement splits a list of equal items one cell per round
+        # from each end, so it stabilises only after about n/2 rounds.
+        g = _collection([literal("same")] * 200)
+        relabelled = rename_graph(g, random_relabeling(g, random.Random(5)))
+        start = time.perf_counter()
+        sig1, sig2 = _stable_signatures(g, relabelled, EquivalenceRelation.exact())
+        witness = _bijection_search(g, relabelled, _Budget(DEFAULT_BUDGET))
+        assert time.perf_counter() - start < 5
+        assert len({s.color for s in sig1.values()}) == 200
+        assert witness is not None
+        assert rename_graph(g, Renaming(witness)) == relabelled
