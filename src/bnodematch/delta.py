@@ -217,12 +217,14 @@ def parse_delta(text: str) -> DeltaScript:
             body = line[1:].strip()
             if body.startswith("direction="):
                 direction = body.split("=", 1)[1]
+                if direction not in (TARGET_LABELS, SOURCE_LABELS):
+                    raise ntriples.ParseError(line_no, f"unknown direction: {direction!r}")
             continue
         tag, _, rest = line.partition(" ")
         if tag == "M":
             parts = rest.split()
             if len(parts) != 2 or not all(ntriples.LABEL_RE.fullmatch(p) for p in parts):
-                raise ValueError(f"line {line_no}: malformed mapping line: {line!r}")
+                raise ntriples.ParseError(line_no, f"malformed mapping line: {line!r}")
             pairs[bnode(parts[0])] = bnode(parts[1])
             saw_mapping = True
         elif tag == "D":
@@ -230,7 +232,7 @@ def parse_delta(text: str) -> DeltaScript:
         elif tag == "A":
             additions.add(ntriples.parse_triple_line(rest, line_no))
         else:
-            raise ValueError(f"line {line_no}: unknown delta line tag: {tag!r}")
+            raise ntriples.ParseError(line_no, f"unknown delta line tag: {tag!r}")
     mapping = BnodeMapping(pairs, cost=0, method="loaded") if saw_mapping else None
     return DeltaScript(
         additions=frozenset(additions),

@@ -743,14 +743,17 @@ def parse_mapping(text: str) -> BnodeMapping:
         if line.startswith("#"):
             for part in line[1:].split():
                 if part.startswith("cost="):
-                    cost = int(part.split("=", 1)[1])
+                    try:
+                        cost = int(part.split("=", 1)[1])
+                    except ValueError:
+                        raise ntriples.ParseError(line_no, f"bad cost in: {line!r}") from None
                 elif part.startswith("method="):
                     method = part.split("=", 1)[1]
             continue
         parts = line.split()
         if len(parts) != 3 or parts[0] != "M":
-            raise ValueError(f"line {line_no}: malformed mapping line: {line!r}")
+            raise ntriples.ParseError(line_no, f"malformed mapping line: {line!r}")
         if not all(ntriples.LABEL_RE.fullmatch(p) for p in parts[1:]):
-            raise ValueError(f"line {line_no}: bad bnode label in: {line!r}")
+            raise ntriples.ParseError(line_no, f"bad bnode label in: {line!r}")
         pairs[bnode(parts[1])] = bnode(parts[2])
     return BnodeMapping(pairs, cost=cost, method=method)

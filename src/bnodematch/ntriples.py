@@ -1,10 +1,24 @@
-"""N-Triples parsing and deterministic serialization.
+r"""N-Triples parsing and deterministic serialization.
 
 One line is one triple, which keeps diff and patch files trivially
 line-diffable.  Blank-node labels are scoped to the document being parsed.
 The serializer emits triples sorted lexicographically by the rendered
 (subject, predicate, object) strings, so output is byte-stable for a given
 triple set.
+
+The accepted grammar, line by line (RDF 1.1 N-Triples, with these limits):
+
+- a line is ``subject predicate object .``; spaces and tabs between the
+  terms and before the ``.`` are optional, and after the ``.`` only
+  whitespace or a ``#`` comment may follow;
+- the subject is an IRI or a blank node, the predicate an IRI, the object
+  any term;
+- an IRI ``<...>`` is taken verbatim, without UCHAR decoding, and may not
+  hold space, control characters or any of ``<>"{}|^```;
+- a blank node is ``_:`` and a BLANK_NODE_LABEL (see ``LABEL_RE``);
+- a literal is ``"..."`` with the escapes ``\t \n \r \" \\ \uXXXX
+  \UXXXXXXXX`` (code points up to U+10FFFF) and no others, followed by an
+  optional ``^^<datatype IRI>`` or ``@language-tag``.
 """
 
 from __future__ import annotations
@@ -28,6 +42,17 @@ LANGTAG_RE = re.compile(r"[a-zA-Z]+(?:-[a-zA-Z0-9]+)*")
 
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
 _UNESCAPES = {"\t": "\\t", "\n": "\\n", "\r": "\\r", '"': '\\"', "\\": "\\\\"}
+
+# One term with its leading whitespace.  Groups: IRI, bnode label, literal
+# lexical form (escapes still in), datatype IRI, language tag.
+_IRI = r'<([^\x00-\x20<>"{}|^`]+)>'
+_TERM_RE = re.compile(
+    rf"[ \t]*(?:{_IRI}|_:({LABEL_RE.pattern})"
+    r'|"([^"\\]*(?:\\(?:[tnr"\\]|u[0-9A-Fa-f]{4}|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4})[^"\\]*)*)"'
+    rf"(?:\^\^{_IRI}|@({LANGTAG_RE.pattern}))?)"
+)
+_END_RE = re.compile(r"[ \t]*\.\s*(?:#.*)?", re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(?:u(.{4})|U(.{8})|(.))")
 
 
 class ParseError(ValueError):
@@ -69,108 +94,35 @@ def render_triple(t: Triple) -> str:
     return f"{render_term(t.s)} {render_term(t.p)} {render_term(t.o)} ."
 
 
-def _parse_iri(line: str, pos: int, line_no: int) -> tuple[Term, int]:
-    end = line.find(">", pos + 1)
-    if end < 0:
-        raise ParseError(line_no, "malformed IRI: missing closing '>'")
-    value = line[pos + 1 : end]
-    if not value or any(c in value for c in ' <>"{}|^`') or any(ord(c) <= 0x20 for c in value):
-        raise ParseError(line_no, f"malformed IRI: <{value}>")
-    return iri(value), end + 1
+def _unescape(m: re.Match) -> str:
+    return _ESCAPES[m[3]] if m[3] else chr(int(m[1] or m[2], 16))
 
 
-def _parse_bnode(line: str, pos: int, line_no: int) -> tuple[Term, int]:
-    m = LABEL_RE.match(line, pos + 2)
+def _term(line: str, pos: int, line_no: int, role: str) -> tuple[Term, int]:
+    m = _TERM_RE.match(line, pos)
     if not m:
-        raise ParseError(line_no, "malformed blank node label")
-    return bnode(m.group(0)), m.end()
-
-
-def _parse_literal(line: str, pos: int, line_no: int) -> tuple[Term, int]:
-    chars: list[str] = []
-    i = pos + 1
-    n = len(line)
-    while True:
-        if i >= n:
-            raise ParseError(line_no, "unterminated literal")
-        c = line[i]
-        if c == '"':
-            i += 1
-            break
-        if c == "\\":
-            if i + 1 >= n:
-                raise ParseError(line_no, "unterminated literal escape")
-            e = line[i + 1]
-            if e in _ESCAPES:
-                chars.append(_ESCAPES[e])
-                i += 2
-            elif e in "uU":
-                width = 4 if e == "u" else 8
-                hexpart = line[i + 2 : i + 2 + width]
-                if len(hexpart) != width or not all(c in "0123456789abcdefABCDEF" for c in hexpart):
-                    raise ParseError(line_no, f"bad \\{e} escape in literal")
-                chars.append(chr(int(hexpart, 16)))
-                i += 2 + width
-            else:
-                raise ParseError(line_no, f"unknown escape '\\{e}' in literal")
-        else:
-            chars.append(c)
-            i += 1
-    value = "".join(chars)
-    if line.startswith("^^", i):
-        if i + 2 >= n or line[i + 2] != "<":
-            raise ParseError(line_no, "datatype must be an IRI")
-        dt, i = _parse_iri(line, i + 2, line_no)
-        return literal(value, datatype=dt.value), i
-    if i < n and line[i] == "@":
-        m = LANGTAG_RE.match(line, i + 1)
-        if not m:
-            raise ParseError(line_no, "malformed language tag")
-        return literal(value, langtag=m.group(0)), m.end()
-    return literal(value), i
-
-
-def _parse_term(line: str, pos: int, line_no: int) -> tuple[Term, int]:
-    c = line[pos]
-    if c == "<":
-        return _parse_iri(line, pos, line_no)
-    if c == "_" and line.startswith("_:", pos):
-        return _parse_bnode(line, pos, line_no)
-    if c == '"':
-        return _parse_literal(line, pos, line_no)
-    raise ParseError(line_no, f"unexpected character {c!r}")
-
-
-def _skip_ws(line: str, pos: int) -> int:
-    while pos < len(line) and line[pos] in " \t":
-        pos += 1
-    return pos
+        raise ParseError(line_no, f"malformed {role} at column {pos + 1}")
+    ref, label, lexical, datatype, langtag = m.groups()
+    if ref is not None:
+        return iri(ref), m.end()
+    if label is not None:
+        return bnode(label), m.end()
+    if "\\" in lexical:
+        lexical = _ESCAPE_RE.sub(_unescape, lexical)
+    return literal(lexical, datatype, langtag), m.end()
 
 
 def parse_triple_line(line: str, line_no: int = 1) -> Triple:
     """Parse a single ``<s> <p> <o> .`` line into a Triple."""
-    pos = _skip_ws(line, 0)
-    subject, pos = _parse_term(line, pos, line_no)
+    subject, pos = _term(line, 0, line_no, "subject")
     if subject.kind == LITERAL:
         raise ParseError(line_no, "literal not allowed in subject position")
-    pos = _skip_ws(line, pos)
-    if pos >= len(line):
-        raise ParseError(line_no, "truncated triple: missing predicate")
-    predicate, pos = _parse_term(line, pos, line_no)
-    if predicate.kind == BNODE:
-        raise ParseError(line_no, "blank node not allowed in predicate position")
-    if predicate.kind == LITERAL:
-        raise ParseError(line_no, "literal not allowed in predicate position")
-    pos = _skip_ws(line, pos)
-    if pos >= len(line):
-        raise ParseError(line_no, "truncated triple: missing object")
-    obj, pos = _parse_term(line, pos, line_no)
-    pos = _skip_ws(line, pos)
-    if pos >= len(line) or line[pos] != ".":
-        raise ParseError(line_no, "missing terminating '.'")
-    trailer = line[pos + 1 :].strip()
-    if trailer and not trailer.startswith("#"):
-        raise ParseError(line_no, f"unexpected content after '.': {trailer!r}")
+    predicate, pos = _term(line, pos, line_no, "predicate")
+    if predicate.kind != IRI:
+        raise ParseError(line_no, "predicate must be an IRI")
+    obj, pos = _term(line, pos, line_no, "object")
+    if not _END_RE.fullmatch(line, pos):
+        raise ParseError(line_no, f"expected '.' and end of line at column {pos + 1}")
     return Triple(subject, predicate, obj)
 
 
@@ -187,7 +139,6 @@ def parse_ntriples(source: Union[str, IO[str], Iterable[str]], graph_id: str = "
     else:
         lines = source
     triples: set[Triple] = set()
-    labels: set[str] = set()
     warnings: list[tuple[int, str]] = []
     line_count = 0
     for line_no, raw in enumerate(lines, start=1):
@@ -200,10 +151,8 @@ def parse_ntriples(source: Union[str, IO[str], Iterable[str]], graph_id: str = "
         if t in triples:
             warnings.append((line_no, f"duplicate triple: {render_triple(t)}"))
         triples.add(t)
-        for term in (t.s, t.o):
-            if term.kind == BNODE:
-                labels.add(term.value)
-    return ParseReport(Graph(triples, graph_id), line_count, labels, warnings)
+    graph = Graph(triples, graph_id)
+    return ParseReport(graph, line_count, {b.value for b in graph.bnodes()}, warnings)
 
 
 def serialize_ntriples(g: Graph) -> str:

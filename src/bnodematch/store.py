@@ -105,18 +105,21 @@ class VersionStore:
         manifest = self.path / MANIFEST_FILE
         if not manifest.exists():
             raise StoreError(f"{self.path}: not a repository (no {MANIFEST_FILE})")
+        corrupt = StoreError(f"{self.path}: corrupt manifest")
         count = None
         hashes: dict[str, str] = {}
         for line in manifest.read_text(encoding="utf-8").splitlines():
             parts = line.split()
             if not parts:
                 continue
+            if len(parts) < 2 or parts[0] == "versions" and not parts[1].isdecimal():
+                raise corrupt
             if parts[0] == "versions":
                 count = int(parts[1])
             else:
                 hashes[parts[0]] = parts[1]
         if count is None or count < 1:
-            raise StoreError(f"{self.path}: corrupt manifest")
+            raise corrupt
         for name, expected in hashes.items():
             target = self.path / name
             if not target.exists():

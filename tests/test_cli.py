@@ -80,6 +80,42 @@ class TestDiffPatch:
         capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        "A\n",
+        "D\n",
+        "X <http://a> <http://p> <http://b> .\n",
+        "M only-one-label\n",
+        "M -a b\n",
+        "# direction=sideways\n",
+    ],
+    ids=["bare-A", "bare-D", "unknown-tag", "short-M", "bad-label-M", "direction"],
+)
+def test_malformed_delta_exits_three(tmp_path, capsys, body):
+    bad = tmp_path / "bad.rdfd"
+    bad.write_text("# direction=target-labels\n" + body)
+    assert main(["patch", G1, str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "truth",
+    ["# cost=abc method=generator\n", "M b1\n", "M b1 -b\n", "X b1 b2\n"],
+    ids=["cost", "short-M", "bad-label", "unknown-tag"],
+)
+def test_malformed_mapping_file_exits_three(tmp_path, capsys, truth):
+    pair = tmp_path / "pairs" / "p1"
+    pair.mkdir(parents=True)
+    (pair / "g1.nt").write_text(Path(G1).read_text())
+    (pair / "g2.nt").write_text(Path(G2).read_text())
+    (pair / "truth.bm").write_text("# method=generator\n" + truth)
+    assert main(["bench", str(tmp_path / "pairs")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2:") and "Traceback" not in err
+
+
 def test_diff_patch_pipe_round_trips_byte_identically(tmp_path):
     # diff to stdout, patch from stdin, compare canonical serializations
     diff = subprocess.run(
@@ -260,6 +296,15 @@ class TestVersionStoreCommands:
     def test_missing_repo_is_io_error(self, tmp_path, capsys):
         assert main(["vs", "checkout", str(tmp_path / "nope"), "1"]) == 3
         capsys.readouterr()
+
+    @pytest.mark.parametrize("line", ["versions", "versions x", "base.nt"])
+    def test_corrupt_manifest_is_io_error(self, tmp_path, capsys, line):
+        repo = tmp_path / "repo"
+        assert main(["vs", "init", str(repo), G1]) == 0
+        (repo / "manifest.txt").write_text(line + "\n")
+        assert main(["vs", "checkout", str(repo), "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {repo}: corrupt manifest\n"
 
 
 def test_gen_and_bench(tmp_path, capsys):

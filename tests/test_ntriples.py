@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bnodematch import Graph, Triple, bnode, iri, literal, parse_ntriples, serialize_ntriples
-from bnodematch.ntriples import LABEL_RE, ParseError, parse_triple_line, render_triple
+from bnodematch.model import BNODE, LITERAL, Term
+from bnodematch.ntriples import LABEL_RE, LANGTAG_RE, ParseError, parse_triple_line, render_triple
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -113,7 +116,7 @@ _iris = st.sampled_from([iri(f"http://x/{c}") for c in "abcd"])
 _lits = st.builds(
     literal,
     st.text(
-        alphabet=st.characters(blacklist_categories=("Cs",), max_codepoint=0x2FF),
+        alphabet=st.characters(blacklist_categories=("Cs",)),
         max_size=6,
     ),
     st.sampled_from([None, "http://dt"]),
@@ -182,3 +185,205 @@ def test_round_trip_with_n_triples_1_1_labels(triples):
         assert LABEL_RE.fullmatch(b.value)
         # no space before the terminator either
         assert parse_triple_line(f"_:{b.value} <http://x/p> _:{b.value}.").o == b
+
+
+# -- differential: the per-character scanner the term pattern replaced ------
+#
+# A verbatim copy of the previous parser, kept as the reference.
+
+_ESCAPES = {"t": "\t", "n": "\n", "r": "\r", '"': '"', "\\": "\\"}
+
+
+def _parse_iri(line: str, pos: int, line_no: int) -> tuple[Term, int]:
+    end = line.find(">", pos + 1)
+    if end < 0:
+        raise ParseError(line_no, "malformed IRI: missing closing '>'")
+    value = line[pos + 1 : end]
+    if not value or any(c in value for c in ' <>"{}|^`') or any(ord(c) <= 0x20 for c in value):
+        raise ParseError(line_no, f"malformed IRI: <{value}>")
+    return iri(value), end + 1
+
+
+def _parse_bnode(line: str, pos: int, line_no: int) -> tuple[Term, int]:
+    m = LABEL_RE.match(line, pos + 2)
+    if not m:
+        raise ParseError(line_no, "malformed blank node label")
+    return bnode(m.group(0)), m.end()
+
+
+def _parse_literal(line: str, pos: int, line_no: int) -> tuple[Term, int]:
+    chars: list[str] = []
+    i = pos + 1
+    n = len(line)
+    while True:
+        if i >= n:
+            raise ParseError(line_no, "unterminated literal")
+        c = line[i]
+        if c == '"':
+            i += 1
+            break
+        if c == "\\":
+            if i + 1 >= n:
+                raise ParseError(line_no, "unterminated literal escape")
+            e = line[i + 1]
+            if e in _ESCAPES:
+                chars.append(_ESCAPES[e])
+                i += 2
+            elif e in "uU":
+                width = 4 if e == "u" else 8
+                hexpart = line[i + 2 : i + 2 + width]
+                if len(hexpart) != width or not all(c in "0123456789abcdefABCDEF" for c in hexpart):
+                    raise ParseError(line_no, f"bad \\{e} escape in literal")
+                chars.append(chr(int(hexpart, 16)))
+                i += 2 + width
+            else:
+                raise ParseError(line_no, f"unknown escape '\\{e}' in literal")
+        else:
+            chars.append(c)
+            i += 1
+    value = "".join(chars)
+    if line.startswith("^^", i):
+        if i + 2 >= n or line[i + 2] != "<":
+            raise ParseError(line_no, "datatype must be an IRI")
+        dt, i = _parse_iri(line, i + 2, line_no)
+        return literal(value, datatype=dt.value), i
+    if i < n and line[i] == "@":
+        m = LANGTAG_RE.match(line, i + 1)
+        if not m:
+            raise ParseError(line_no, "malformed language tag")
+        return literal(value, langtag=m.group(0)), m.end()
+    return literal(value), i
+
+
+def _parse_term(line: str, pos: int, line_no: int) -> tuple[Term, int]:
+    c = line[pos]
+    if c == "<":
+        return _parse_iri(line, pos, line_no)
+    if c == "_" and line.startswith("_:", pos):
+        return _parse_bnode(line, pos, line_no)
+    if c == '"':
+        return _parse_literal(line, pos, line_no)
+    raise ParseError(line_no, f"unexpected character {c!r}")
+
+
+def _skip_ws(line: str, pos: int) -> int:
+    while pos < len(line) and line[pos] in " \t":
+        pos += 1
+    return pos
+
+
+def _reference_parse_triple_line(line: str, line_no: int = 1) -> Triple:
+    pos = _skip_ws(line, 0)
+    subject, pos = _parse_term(line, pos, line_no)
+    if subject.kind == LITERAL:
+        raise ParseError(line_no, "literal not allowed in subject position")
+    pos = _skip_ws(line, pos)
+    if pos >= len(line):
+        raise ParseError(line_no, "truncated triple: missing predicate")
+    predicate, pos = _parse_term(line, pos, line_no)
+    if predicate.kind == BNODE:
+        raise ParseError(line_no, "blank node not allowed in predicate position")
+    if predicate.kind == LITERAL:
+        raise ParseError(line_no, "literal not allowed in predicate position")
+    pos = _skip_ws(line, pos)
+    if pos >= len(line):
+        raise ParseError(line_no, "truncated triple: missing object")
+    obj, pos = _parse_term(line, pos, line_no)
+    pos = _skip_ws(line, pos)
+    if pos >= len(line) or line[pos] != ".":
+        raise ParseError(line_no, "missing terminating '.'")
+    trailer = line[pos + 1 :].strip()
+    if trailer and not trailer.startswith("#"):
+        raise ParseError(line_no, f"unexpected content after '.': {trailer!r}")
+    return Triple(subject, predicate, obj)
+
+
+# Atoms in pairs of lists: accepted by both parsers, and not accepted.
+_WS = ["", "", " ", "\t", "  ", " \t"]
+_IRIS = (["<http://a>", "<a>", "<http://x/é>", "<a\\b>", "<a\x7fb>"],
+         ["<>", "<http://a", "a>"] + [f"<a{c}b>" for c in ' <"{}|^`\x00\x1f\n\x0b'])
+_BNODES = (["_:b1", "_:b.1", "_:1", "_:a:b", "_:é", "_:a\u00b7", "_:genid-1", "_:a\u0301"],
+           ["_:-a", "_:.a", "_:", "_x", "_:\u00b7a"])
+_LEXICALS = (["a", " ", "é", "\n", "\x0b", "\r", "\ud800", ".", "#", "<a>", "@", "^^",
+              "\\t", "\\n", "\\r", '\\"', "\\\\", "\\u00e9", "\\u00E9",
+              "\\U0001F600", "\\U0010FFFF"],
+             ["\\b", "\\f", "\\'", "\\x", "\\u12", "\\u12g4", "\\U0001F60",
+              "\\U00110000", "\\UFFFFFFFF", "\\"])
+_SUFFIXES = (["", "", "", "^^<http://dt>", "@en", "@en-GB", "@en-GB-x1"],
+             ["^^d", "^^<bad", "^^", "@en-", "@1", "@", "@en@de", '"'])
+_ENDS = ([".", " .", "\t.", ". # c", ".#c", " . \x0b", ".\r", ". \r", ".\n",
+          ". \u00a0", ". \u2028#", " .\t# a\nb", ". #"],
+         ["", "..", ". x", "\r.", "\x0b.", ". \u00a0x", "#"])
+
+
+def _pick(rng, atoms, valid=0.9):
+    return rng.choice(atoms[rng.random() >= valid])
+
+
+def _term_atom(rng, kinds):
+    kind = rng.choice(kinds)
+    if kind == "literal":
+        body = "".join(_pick(rng, _LEXICALS, 0.95) for _ in range(rng.randrange(4)))
+        return f'"{body}"{_pick(rng, _SUFFIXES)}' if rng.random() < 0.95 else f'"{body}'
+    return _pick(rng, _IRIS if kind == "iri" else _BNODES)
+
+
+def _random_line(rng):
+    if rng.random() < 0.01:
+        return "".join(rng.choice(" \t") for _ in range(rng.randrange(3)))
+    any_kind = ("iri", "bnode", "literal")
+    roles = [("iri", "bnode"), ("iri",), any_kind]
+    if rng.random() < 0.1:
+        roles[rng.randrange(2)] = any_kind
+    parts = [rng.choice(_WS)]
+    for kinds in roles:
+        parts += [_term_atom(rng, kinds), rng.choice(_WS)]
+    return "".join(parts) + _pick(rng, _ENDS)
+
+
+def _outcome(parse, line):
+    try:
+        return parse(line, 7)
+    except ParseError as err:
+        assert err.line_no == 7
+        return ParseError
+    except (IndexError, ValueError, OverflowError) as err:
+        return type(err)
+
+
+def test_term_pattern_agrees_with_the_replaced_scanner():
+    rng = random.Random(20141031)
+    accepted = 0
+    for _ in range(100_000):
+        line = _random_line(rng)
+        old = _outcome(_reference_parse_triple_line, line)
+        new = _outcome(parse_triple_line, line)
+        if old is IndexError:
+            # whitespace only: the old scanner indexed past the end
+            assert not line.strip(" \t") and new is ParseError, repr(line)
+        elif old in (ValueError, OverflowError):
+            # \U beyond U+10FFFF: the old scanner let chr() raise
+            assert "\\U" in line and new is ParseError, repr(line)
+        else:
+            assert new == old, repr(line)
+            accepted += new is not ParseError
+    assert 20_000 < accepted < 80_000
+
+
+# -- no catastrophic backtracking on long malformed lines --------------------
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "_:" + "a." * 199_999 + "!",
+        '<http://a> <http://p> "' + "\\" * 399_977,
+        '<http://a> <http://p> "x"@' + "a-" * 199_987,
+    ],
+    ids=["label-dots", "backslashes", "langtag-dashes"],
+)
+def test_long_malformed_lines_fail_fast(line):
+    assert len(line) >= 400_000
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_triple_line(line)
+    assert time.perf_counter() - start < 1.0

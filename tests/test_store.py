@@ -84,6 +84,14 @@ def test_corrupted_content_is_detected(tmp_path, g1, g2):
         VersionStore(tmp_path / "r")
 
 
+@pytest.mark.parametrize("line", ["versions", "versions x", "base.nt"])
+def test_corrupt_manifest_lines_raise_store_error(repo, line):
+    manifest = repo.path / "manifest.txt"
+    manifest.write_text(manifest.read_text() + line + "\n")
+    with pytest.raises(StoreError, match="corrupt manifest"):
+        VersionStore(repo.path)
+
+
 def test_init_refuses_nonempty_directories(tmp_path, g1):
     target = tmp_path / "busy"
     target.mkdir()
