@@ -43,10 +43,7 @@ from .delta import (
 from .matcher import (
     BnodeMapping,
     InstanceTooLarge,
-    MatcherConfig,
-    Signature,
     brute_force_match,
-    build_signatures,
     mapping_cost,
     match_bnodes,
     pair_distance,
@@ -59,7 +56,7 @@ from .decision import (
     graphs_equivalent,
     verify_entailment,
 )
-from .integration import IntegrationResult, integrate, integrate_all
+from .integration import IntegrationResult, integrate_all
 from .store import StoreError, VersionStore
 from .generator import GeneratedPair, GenSpec, generate_pair
 
@@ -75,12 +72,10 @@ __all__ = [
     "Graph",
     "InstanceTooLarge",
     "IntegrationResult",
-    "MatcherConfig",
     "ParseError",
     "ParseReport",
     "Renaming",
     "SearchBudgetExceeded",
-    "Signature",
     "SOURCE_LABELS",
     "StoreError",
     "TARGET_LABELS",
@@ -91,7 +86,6 @@ __all__ = [
     "bnode",
     "bnode_components",
     "brute_force_match",
-    "build_signatures",
     "canonical_suffix",
     "entails",
     "find_equivalence_bijection",
@@ -99,7 +93,6 @@ __all__ = [
     "graphs_equivalent",
     "has_connected_bnodes",
     "incident_triples",
-    "integrate",
     "integrate_all",
     "iri",
     "literal",

@@ -33,7 +33,7 @@ from .equivalence import EquivalenceRelation, load_sameas_pairs
 from .generator import GenSpec, generate_pair, write_pair
 from .integration import integrate_all, majority_accept
 from .matcher import (
-    MatcherConfig,
+    EXACT_THRESHOLD,
     format_mapping,
     mapping_cost,
     match_bnodes,
@@ -66,11 +66,15 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _guard_output(out: Optional[str], inputs: list[str]) -> None:
+    """Refuse an output path that is an input or lies inside one (a repository)."""
     if out is None or out == "-":
         return
-    resolved = {os.path.realpath(p) for p in inputs if p != "-"}
-    if os.path.realpath(out) in resolved:
-        raise UsageError(f"refusing to overwrite input file {out!r}")
+    target = os.path.realpath(out)
+    for path in inputs:
+        root = os.path.realpath(path)
+        if path != "-" and os.path.commonpath([root, target]) == root:
+            what = "input file" if target == root else f"repository {path!r} with"
+            raise UsageError(f"refusing to overwrite {what} {out!r}")
 
 
 class UsageError(ValueError):
@@ -99,7 +103,7 @@ def cmd_diff(args) -> int:
     else:
         policy, pairs = _parse_equiv(args.equiv)
         equiv = EquivalenceRelation.for_graphs(policy, [g1, g2], pairs)
-        mapping = match_bnodes(g1, g2, equiv, MatcherConfig(exact_threshold=args.exact_threshold))
+        mapping = match_bnodes(g1, g2, equiv, args.exact_threshold)
         direction = SOURCE_LABELS if args.labels == "source" else TARGET_LABELS
         script = mapped_delta(g1, g2, mapping, direction)
     _write_text(args.output, format_delta(script))
@@ -126,8 +130,7 @@ def cmd_match(args) -> int:
     _guard_output(args.output, [args.graph1, args.graph2])
     policy, pairs = _parse_equiv(args.equiv)
     equiv = EquivalenceRelation.for_graphs(policy, [g1, g2], pairs)
-    config = MatcherConfig(exact_threshold=args.exact_threshold)
-    mapping = match_bnodes(g1, g2, equiv, config)
+    mapping = match_bnodes(g1, g2, equiv, args.exact_threshold)
     _write_text(args.output, format_mapping(mapping))
     return 0
 
@@ -192,10 +195,12 @@ def cmd_vs(args) -> int:
         print(f"version {store.version_count}: {script.size} operations", file=sys.stderr)
         return 0
     if args.vs_command == "checkout":
+        _guard_output(args.output, [args.repo])
         g = store.checkout(args.version)
         _write_text(args.output, ntriples.serialize_ntriples(g))
         return 0
     if args.vs_command == "patch":
+        _guard_output(args.output, [args.repo])
         script = store.sync_patch(args.frm, args.to)
         _write_text(args.output, format_delta(script))
         return 0
@@ -229,9 +234,9 @@ def cmd_bench(args) -> int:
         if os.path.isfile(truth_path):
             with open(truth_path, encoding="utf-8") as fh:
                 bound = mapping_cost(g1, g2, parse_mapping(fh.read()))
-        for config in (MatcherConfig(), MatcherConfig(exact_threshold=0)):
+        for threshold in (EXACT_THRESHOLD, 0):
             start = time.perf_counter()
-            mapping = match_bnodes(g1, g2, config=config)
+            mapping = match_bnodes(g1, g2, exact_threshold=threshold)
             elapsed = time.perf_counter() - start
             rows.append(
                 {
@@ -284,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plain", action="store_true", help="skip bnode matching")
     p.add_argument("--labels", choices=("source", "target"), default="target",
                    help="label scope of the emitted operations (default target)")
-    p.add_argument("--exact-threshold", type=int, default=7)
+    p.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_diff)
 
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph1")
     p.add_argument("graph2")
     _add_equiv_flag(p)
-    p.add_argument("--exact-threshold", type=int, default=7)
+    p.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_match)
 

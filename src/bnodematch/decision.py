@@ -29,7 +29,6 @@ from .delta import TARGET_LABELS, mapped_delta, plain_delta
 from .matcher import (
     ASSIGNMENT,
     BRUTE_FORCE,
-    MatcherConfig,
     _stable_signatures,
     match_bnodes,
 )
@@ -161,17 +160,13 @@ def _search(
     return assignment
 
 
-def find_equivalence_bijection(
-    g1: Graph,
-    g2: Graph,
-    config: Optional[MatcherConfig] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> Optional[dict[Term, Term]]:
+def find_equivalence_bijection(g1: Graph, g2: Graph) -> Optional[dict[Term, Term]]:
     """A triple-preserving bnode bijection between the graphs, or None.
 
     IRIs and literals must coincide exactly; only bnode identity is open.
     The answer is exact: an approximate matcher result with positive cost
-    triggers the exhaustive fallback before answering no.
+    triggers the exhaustive fallback before answering no.  That search
+    raises :class:`SearchBudgetExceeded` after ``DEFAULT_BUDGET`` nodes.
     """
     if g1.uris() != g2.uris() or g1.literals() != g2.literals():
         return None
@@ -179,22 +174,17 @@ def find_equivalence_bijection(
         return None
     if not g1.bnodes():
         return {} if g1 == g2 else None
-    mapping = match_bnodes(g1, g2, config=config)
+    mapping = match_bnodes(g1, g2)
     if mapping.cost == 0:
         script = mapped_delta(g1, g2, mapping, TARGET_LABELS)
         return dict(mapping.pairs) if script.is_empty() else None
     if mapping.method in (BRUTE_FORCE, ASSIGNMENT):
         return None  # the cost is a true minimum, so no zero-cost bijection
-    return _bijection_search(g1, g2, _Budget(budget))
+    return _bijection_search(g1, g2, _Budget(DEFAULT_BUDGET))
 
 
-def graphs_equivalent(
-    g1: Graph,
-    g2: Graph,
-    config: Optional[MatcherConfig] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> bool:
-    return find_equivalence_bijection(g1, g2, config, budget) is not None
+def graphs_equivalent(g1: Graph, g2: Graph) -> bool:
+    return find_equivalence_bijection(g1, g2) is not None
 
 
 # -- entailment ----------------------------------------------------------------
@@ -245,16 +235,12 @@ def _candidates(g2: Graph, b2: Term, index: _EntailIndex, universe: list[Term]) 
     return out
 
 
-def entails(
-    g1: Graph,
-    g2: Graph,
-    budget: int = DEFAULT_BUDGET,
-) -> Optional[EntailmentMapping]:
+def entails(g1: Graph, g2: Graph) -> Optional[EntailmentMapping]:
     """Witness that g1 entails g2, or None.
 
     Ground triples of g2 must simply exist in g1; each bnode component of
     g2 is then searched independently, most-constrained bnode first, for
-    an assignment into g1's bnodes and IRIs.
+    an assignment into g1's bnodes and IRIs, within ``DEFAULT_BUDGET`` nodes.
     """
     for t in _ground_triples(g2):
         if t not in g1:
@@ -268,7 +254,7 @@ def entails(
     if any(not c for c in candidates.values()):
         return None
 
-    tracker = _Budget(budget)
+    tracker = _Budget(DEFAULT_BUDGET)
     assignments: dict[Term, Term] = {}
     for component in bnode_components(g2):
         order = sorted(component, key=lambda b: (len(candidates[b]), b.sort_key()))

@@ -9,11 +9,11 @@ injection they were computed with, so a patch file is self-contained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from . import ntriples
-from .matcher import BnodeMapping, _as_dict
+from .matcher import BnodeMapping, _as_dict, _read_pair
 from .model import BNODE, Graph, Renaming, Term, Triple, bnode, rename_graph
 
 TARGET_LABELS = "target-labels"
@@ -156,13 +156,7 @@ def reverse_delta(script: DeltaScript) -> DeltaScript:
     script yields a source-labels script for the opposite transformation,
     so reverse is an involution.
     """
-    inverted = None
-    if script.mapping_used is not None:
-        inverted = BnodeMapping(
-            {dst: src for src, dst in script.mapping_used.pairs.items()},
-            cost=script.mapping_used.cost,
-            method=script.mapping_used.method,
-        )
+    inverted = None if script.mapping_used is None else script.mapping_used.inverted()
     flipped = SOURCE_LABELS if script.direction == TARGET_LABELS else TARGET_LABELS
     return DeltaScript(
         additions=script.deletions,
@@ -206,10 +200,11 @@ def format_delta(script: DeltaScript) -> str:
 def parse_delta(text: str) -> DeltaScript:
     direction = TARGET_LABELS
     pairs: dict[Term, Term] = {}
+    images: set[str] = set()
     additions: set[Triple] = set()
     deletions: set[Triple] = set()
-    saw_mapping = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # Split on newlines only, as ``parse_ntriples`` does.
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -222,18 +217,14 @@ def parse_delta(text: str) -> DeltaScript:
             continue
         tag, _, rest = line.partition(" ")
         if tag == "M":
-            parts = rest.split()
-            if len(parts) != 2 or not all(ntriples.LABEL_RE.fullmatch(p) for p in parts):
-                raise ntriples.ParseError(line_no, f"malformed mapping line: {line!r}")
-            pairs[bnode(parts[0])] = bnode(parts[1])
-            saw_mapping = True
+            _read_pair(pairs, images, rest.split(), line, line_no)
         elif tag == "D":
             deletions.add(ntriples.parse_triple_line(rest, line_no))
         elif tag == "A":
             additions.add(ntriples.parse_triple_line(rest, line_no))
         else:
             raise ntriples.ParseError(line_no, f"unknown delta line tag: {tag!r}")
-    mapping = BnodeMapping(pairs, cost=0, method="loaded") if saw_mapping else None
+    mapping = BnodeMapping(pairs, cost=0, method="loaded") if pairs else None
     return DeltaScript(
         additions=frozenset(additions),
         deletions=frozenset(deletions),

@@ -39,7 +39,8 @@ class EquivalenceRelation:
     Bnodes are rejected: their equivalence is the matcher's business.
     Build with :meth:`exact`, :meth:`suffix` or :meth:`sameas`; the
     ``terms`` universe (usually the terms of the graphs under comparison)
-    determines which group members a representative is chosen from.
+    determines which group members a representative is chosen from.  Two
+    terms are equivalent iff :meth:`representative` maps them to one term.
     """
 
     def __init__(self, policy: str, terms: Iterable[Term] = (),
@@ -55,7 +56,6 @@ class EquivalenceRelation:
                 self._check_term(a)
                 self._check_term(b)
                 self._union(a, b)
-        self.sameas_pairs = frozenset(pairs) if policy == SAMEAS else frozenset()
         for t in terms:
             self._register(t)
         self._freeze_representatives()
@@ -126,23 +126,6 @@ class EquivalenceRelation:
                     self._reps[m] = rep
 
     # -- queries -----------------------------------------------------------
-
-    def equivalent(self, a: Term, b: Term) -> bool:
-        """Are ``a`` and ``b`` the same resource under this policy?"""
-        self._check_term(a)
-        self._check_term(b)
-        if a == b:
-            return True
-        if self.policy == EXACT:
-            return False
-        if self.policy == SUFFIX:
-            if a.kind == IRI and b.kind == IRI:
-                return canonical_suffix(a.value) == canonical_suffix(b.value)
-            return False  # literals only match exactly under this policy
-        # sameas: union-find root, exact equality as the fallback
-        if a in self._parent and b in self._parent:
-            return self._find(a) == self._find(b)
-        return False
 
     def representative(self, a: Term) -> Term:
         """Group member with the shortest rendered form; idempotent."""

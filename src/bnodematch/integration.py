@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .equivalence import OWL_SAMEAS, EquivalenceRelation
-from .matcher import MatcherConfig, _solve
+from .matcher import EXACT_THRESHOLD, _solve
 from .model import (
-    BNODE,
     Graph,
     Renaming,
     Term,
@@ -79,13 +78,8 @@ def _cross_uri_links(
     return links
 
 
-def _match_step(
-    acc: Graph,
-    new: Graph,
-    equiv: EquivalenceRelation,
-    config: MatcherConfig,
-) -> list[CandidateLink]:
-    mapping, ctx = _solve(acc, new, equiv, config)
+def _match_step(acc: Graph, new: Graph, equiv: EquivalenceRelation) -> list[CandidateLink]:
+    mapping, ctx = _solve(acc, new, equiv, EXACT_THRESHOLD)
     # The distance is symmetric, so it is read in the solve's orientation.
     pairs = mapping.pairs
     swapped = ctx.g1 is not acc
@@ -94,15 +88,8 @@ def _match_step(
     out = []
     for left, right in mapping.sorted_pairs():
         d = ctx.dist(right, left, pairs) if swapped else ctx.dist(left, right, pairs)
-        out.append(
-            CandidateLink(
-                left,
-                right,
-                d,
-                len(incident_triples(acc, left)),
-                len(incident_triples(new, right)),
-            )
-        )
+        out.append(CandidateLink(left, right, d, len(incident_triples(acc, left)),
+                                 len(incident_triples(new, right))))
     return out
 
 
@@ -110,17 +97,16 @@ def integrate_all(
     graphs: Sequence[Graph],
     policy: str = "exact",
     sameas_pairs: Iterable[tuple[Term, Term]] = (),
-    config: Optional[MatcherConfig] = None,
-    tags: Optional[Sequence[str]] = None,
     accept: Optional[AcceptFn] = None,
     unify: bool = False,
 ) -> IntegrationResult:
-    """Fold any number of sources into one corpus with sameAs links."""
-    config = config or MatcherConfig()
+    """Fold any number of sources into one corpus with sameAs links.
+
+    Source i (from 1) is tagged ``src<i>``: its bnode labels get the
+    prefix ``src<i>_``, and the report keys its counts by that tag.
+    """
     accept = accept or majority_accept
-    tags = list(tags) if tags is not None else [f"src{i + 1}" for i in range(len(graphs))]
-    if len(tags) != len(graphs):
-        raise ValueError("one source tag per graph is required")
+    tags = [f"src{i + 1}" for i in range(len(graphs))]
     if not graphs:
         raise ValueError("at least one graph is required")
 
@@ -136,7 +122,7 @@ def integrate_all(
     for new in prefixed[1:]:
         equiv = EquivalenceRelation.for_graphs(policy, [content, new], sameas_pairs)
         uri_links |= _cross_uri_links(content.uris(), new.uris(), equiv)
-        candidates = _match_step(content, new, equiv, config)
+        candidates = _match_step(content, new, equiv)
         all_candidates.extend(candidates)
         for cand in candidates:
             if accept(cand.left, cand.right, cand.dist, cand.left_size, cand.right_size):
@@ -186,19 +172,3 @@ def _unifying_renaming(links: set[tuple[Term, Term]]) -> Renaming:
             parent[drop] = keep
     return Renaming({t: find(t) for t in parent if find(t) != t})
 
-
-def integrate(
-    g1: Graph,
-    g2: Graph,
-    equiv: Optional[EquivalenceRelation] = None,
-    config: Optional[MatcherConfig] = None,
-    tags: tuple[str, str] = ("src1", "src2"),
-    accept: Optional[AcceptFn] = None,
-    unify: bool = False,
-) -> IntegrationResult:
-    """Two-source integration under an explicit equivalence relation."""
-    policy = equiv.policy if equiv is not None else "exact"
-    pairs = equiv.sameas_pairs if equiv is not None else ()
-    return integrate_all(
-        [g1, g2], policy, pairs, config, tags=list(tags), accept=accept, unify=unify
-    )

@@ -57,7 +57,6 @@ from .model import (
     BNODE,
     Graph,
     Term,
-    Triple,
     bnode,
     has_connected_bnodes,
     incident_triples,
@@ -71,6 +70,8 @@ _SELF = "~"
 _WILDCARD = "*"
 _UNMAPPED = "!"
 _ORACLE_LIMIT = 8
+EXACT_THRESHOLD = 7  # the most bnodes on the smaller side that the exact search takes
+_MAX_ROUNDS = 20  # the most hill-climbing rounds of the refinement tier
 
 
 class InstanceTooLarge(ValueError):
@@ -78,31 +79,17 @@ class InstanceTooLarge(ValueError):
 
 
 @dataclass
-class MatcherConfig:
-    exact_threshold: int = 7
-    max_refinement_rounds: int = 20
-
-    def __post_init__(self) -> None:
-        if self.exact_threshold < 0:
-            raise ValueError("exact_threshold must be >= 0")
-        if self.max_refinement_rounds < 0:
-            raise ValueError("max_refinement_rounds must be >= 0")
-
-
-@dataclass
 class BnodeMapping:
     """An injective bnode-to-bnode map with the cost the solver computed.
 
     ``pairs`` is keyed by the first graph's bnodes in the caller's argument
-    order.  When the solver had to swap internally (first graph had more
-    bnodes), ``swapped`` is set and the cost is the objective over the
-    smaller side, which is always the side the optimizer enumerates.
+    order.  The cost is the objective over the smaller side, which is
+    always the side the optimizer enumerates.
     """
 
     pairs: dict[Term, Term]
     cost: int = 0
     method: str = ""
-    swapped: bool = False
 
     def __post_init__(self) -> None:
         self.pairs = dict(self.pairs)
@@ -116,12 +103,7 @@ class BnodeMapping:
         return len(self.pairs)
 
     def inverted(self) -> "BnodeMapping":
-        return BnodeMapping(
-            {b: a for a, b in self.pairs.items()},
-            cost=self.cost,
-            method=self.method,
-            swapped=not self.swapped,
-        )
+        return BnodeMapping({b: a for a, b in self.pairs.items()}, self.cost, self.method)
 
     def sorted_pairs(self) -> list[tuple[Term, Term]]:
         return sorted(self.pairs.items(), key=lambda p: (p[0].value, p[1].value))
@@ -370,37 +352,14 @@ def _refine(g: Graph, ground: Callable[[Term], str],
     return sigs
 
 
-def build_signatures(
-    g: Graph,
-    equiv: Optional[EquivalenceRelation] = None,
-    rounds: int = 1,
-) -> dict[Term, Signature]:
-    """Color-refinement signatures after the given number of rounds.
-
-    Round 1 sees every neighbor bnode as one generic placeholder; each
-    later round is one ``_refine`` step, which re-tokenizes with the
-    neighbor colors of the previous round.  Colors are content digests, so
-    signatures built from two different graphs at the same round are
-    directly comparable.
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    ground = _grounder(equiv or EquivalenceRelation.exact())
-    sigs = None
-    for _ in range(rounds):
-        sigs = _refine(g, ground, sigs)
-    assert sigs is not None
-    return sigs
-
-
 def _stable_signatures(
     g1: Graph, g2: Graph, equiv: EquivalenceRelation
 ) -> tuple[dict[Term, Signature], dict[Term, Signature]]:
     """Refine both graphs in lockstep until the joint partition stabilizes.
 
     Each round is one ``_refine`` step per graph from that graph's previous
-    round, so round r costs one token pass and the result equals
-    ``build_signatures(g, equiv, r)`` for each graph.
+    round, so round r costs one token pass.  Colors are content digests,
+    so the two graphs' signatures of one round are directly comparable.
     """
     ground = _grounder(equiv)
     sig1 = sig2 = None
@@ -536,7 +495,7 @@ def _move_gain(ctx: _PairContext, m: Mapping[Term, Term], new_m: Mapping[Term, T
     return gain
 
 
-def _refinement_tier(ctx: _PairContext, config: MatcherConfig) -> BnodeMapping:
+def _refinement_tier(ctx: _PairContext) -> BnodeMapping:
     left, right = ctx.left, ctx.right
     m = _seed_by_signatures(ctx)
 
@@ -549,7 +508,7 @@ def _refinement_tier(ctx: _PairContext, config: MatcherConfig) -> BnodeMapping:
         for i, j in zip(rows, cols):
             m[rest1[i]] = rest2[j]
 
-    for _ in range(config.max_refinement_rounds):
+    for _ in range(_MAX_ROUNDS):
         improved = False
         # image swaps between mapped pairs
         for b1a, b1b in itertools.combinations(sorted(m, key=Term.sort_key), 2):
@@ -583,24 +542,25 @@ def match_bnodes(
     g1: Graph,
     g2: Graph,
     equiv: Optional[EquivalenceRelation] = None,
-    config: Optional[MatcherConfig] = None,
+    exact_threshold: int = EXACT_THRESHOLD,
 ) -> BnodeMapping:
     """Minimum-cost injection between the bnode sets of two graphs.
 
     The optimizer always enumerates from the side with fewer bnodes; when
     that is the second graph, the work happens on the swapped pair and the
-    returned mapping is inverted back (and flagged ``swapped``).  The cost
-    is exact for the enumeration and assignment strategies and an upper
-    bound for the refinement strategy.  Deterministic for a given config.
+    returned mapping is inverted back.  The exact search runs when the
+    smaller side has at most ``exact_threshold`` bnodes.  The cost is exact
+    for the enumeration and assignment strategies and an upper bound for
+    the refinement strategy.  Deterministic for a given threshold.
     """
-    mapping, ctx = _solve(
-        g1, g2, equiv or EquivalenceRelation.exact(), config or MatcherConfig()
-    )
+    if exact_threshold < 0:
+        raise ValueError("exact_threshold must be >= 0")
+    mapping, ctx = _solve(g1, g2, equiv or EquivalenceRelation.exact(), exact_threshold)
     return mapping if ctx.g1 is g1 else mapping.inverted()
 
 
 def _solve(
-    g1: Graph, g2: Graph, equiv: EquivalenceRelation, config: MatcherConfig
+    g1: Graph, g2: Graph, equiv: EquivalenceRelation, exact_threshold: int
 ) -> tuple[BnodeMapping, _PairContext]:
     """Solve from the side with fewer bnodes.
 
@@ -611,11 +571,11 @@ def _solve(
     if len(g1.bnodes()) > len(g2.bnodes()):
         g1, g2 = g2, g1
     ctx = _PairContext(g1, g2, equiv)
-    if len(ctx.left) <= config.exact_threshold:
+    if len(ctx.left) <= exact_threshold:
         return _exact_search(ctx), ctx
     if not has_connected_bnodes(g1) and not has_connected_bnodes(g2):
         return _assignment_tier(ctx), ctx
-    return _refinement_tier(ctx, config), ctx
+    return _refinement_tier(ctx), ctx
 
 
 def mapping_cost(
@@ -732,11 +692,28 @@ def format_mapping(mapping: BnodeMapping) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _read_pair(pairs: dict[Term, Term], images: set[str], labels: list[str],
+               line: str, line_no: int) -> None:
+    """Add the pair of one ``M`` line; a label may occur once on its side.
+
+    ``images`` holds the target labels read so far.  A repeated source
+    keeps its first pair, whose target then differs from ``dst``.
+    """
+    if len(labels) != 2 or not all(map(ntriples.LABEL_RE.fullmatch, labels)):
+        raise ntriples.ParseError(line_no, f"malformed mapping line: {line!r}")
+    src, dst = labels
+    if dst in images or pairs.setdefault(bnode(src), bnode(dst)).value != dst:
+        raise ntriples.ParseError(line_no, f"repeated label in mapping line: {line!r}")
+    images.add(dst)
+
+
 def parse_mapping(text: str) -> BnodeMapping:
     pairs: dict[Term, Term] = {}
+    images: set[str] = set()
     cost = 0
     method = "loaded"
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # Split on newlines only, as ``parse_ntriples`` does.
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -751,9 +728,7 @@ def parse_mapping(text: str) -> BnodeMapping:
                     method = part.split("=", 1)[1]
             continue
         parts = line.split()
-        if len(parts) != 3 or parts[0] != "M":
+        if parts[0] != "M":
             raise ntriples.ParseError(line_no, f"malformed mapping line: {line!r}")
-        if not all(ntriples.LABEL_RE.fullmatch(p) for p in parts[1:]):
-            raise ntriples.ParseError(line_no, f"bad bnode label in: {line!r}")
-        pairs[bnode(parts[1])] = bnode(parts[2])
+        _read_pair(pairs, images, parts[1:], line, line_no)
     return BnodeMapping(pairs, cost=cost, method=method)

@@ -22,7 +22,6 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
 
 from . import ntriples
 from .delta import (
@@ -33,7 +32,7 @@ from .delta import (
     mapped_delta,
     save_delta,
 )
-from .matcher import MatcherConfig, match_bnodes
+from .matcher import match_bnodes
 from .model import Graph
 
 BASE_FILE = "base.nt"
@@ -53,11 +52,15 @@ def _delta_name(i: int) -> str:
     return f"{i:04d}.rdfd"
 
 
+def _file_names(version_count: int) -> list[str]:
+    """The files a manifest of ``version_count`` versions lists, in order."""
+    return [BASE_FILE] + [_delta_name(i) for i in range(1, version_count)]
+
+
 def _write_manifest(root: Path, version_count: int) -> None:
     """Replace the manifest atomically: readers see the old one or the new one."""
-    names = [BASE_FILE] + [_delta_name(i) for i in range(1, version_count)]
     lines = [f"versions {version_count}"]
-    lines.extend(f"{name} {_sha256(root / name)}" for name in names)
+    lines.extend(f"{name} {_sha256(root / name)}" for name in _file_names(version_count))
     fd, name = tempfile.mkstemp(dir=root, prefix=f".{MANIFEST_FILE}.", suffix=".tmp")
     os.close(fd)
     tmp = Path(name)
@@ -107,7 +110,7 @@ class VersionStore:
             raise StoreError(f"{self.path}: not a repository (no {MANIFEST_FILE})")
         corrupt = StoreError(f"{self.path}: corrupt manifest")
         count = None
-        hashes: dict[str, str] = {}
+        entries: list[tuple[str, str]] = []
         for line in manifest.read_text(encoding="utf-8").splitlines():
             parts = line.split()
             if not parts:
@@ -117,10 +120,12 @@ class VersionStore:
             if parts[0] == "versions":
                 count = int(parts[1])
             else:
-                hashes[parts[0]] = parts[1]
-        if count is None or count < 1:
+                entries.append((parts[0], parts[1]))
+        # Exactly the files a checkout may read, in order; a count that
+        # disagrees with the entries builds no name list.
+        if count != len(entries) or [name for name, _ in entries] != _file_names(count):
             raise corrupt
-        for name, expected in hashes.items():
+        for name, expected in entries:
             target = self.path / name
             if not target.exists():
                 raise StoreError(f"{self.path}: missing file {name}")
@@ -181,11 +186,11 @@ class VersionStore:
 
     # -- updates ------------------------------------------------------------
 
-    def commit(self, g_new: Graph, config: Optional[MatcherConfig] = None) -> DeltaScript:
+    def commit(self, g_new: Graph) -> DeltaScript:
         """Append the new version as a source-labels delta against head."""
         with self._write_lock():
             head = self.checkout(self._version_count)
-            mapping = match_bnodes(head, g_new, config=config)
+            mapping = match_bnodes(head, g_new)
             script = mapped_delta(head, g_new, mapping, SOURCE_LABELS)
             name = _delta_name(self._version_count)
             try:

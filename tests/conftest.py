@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from bnodematch import Graph, Renaming, load_graph, rename_graph
+from bnodematch import EquivalenceRelation, Graph, Renaming, load_graph, rename_graph
 from bnodematch.generator import GenSpec, generate_pair
+from bnodematch.matcher import _grounder, _refine
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,6 +56,15 @@ def random_relabeling(g: Graph, rng: random.Random, tag: str = "r") -> Renaming:
 def relabeled_copy(g: Graph, seed: int = 0) -> Graph:
     rng = random.Random(seed)
     return rename_graph(g, random_relabeling(g, rng))
+
+
+def signatures(g: Graph, equiv: EquivalenceRelation | None = None, rounds: int = 1):
+    """Color-refinement signatures of ``g`` after ``rounds`` ``_refine`` steps."""
+    ground = _grounder(equiv or EquivalenceRelation.exact())
+    sigs = None
+    for _ in range(rounds):
+        sigs = _refine(g, ground, sigs)
+    return sigs
 
 
 def small_pair(seed: int, bnodes: int = 4, connectivity: float = 0.0, mutations: int = 2):

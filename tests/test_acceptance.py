@@ -14,7 +14,6 @@ from pathlib import Path
 
 from bnodematch import (
     GenSpec,
-    MatcherConfig,
     apply_delta,
     brute_force_match,
     entails,
@@ -174,7 +173,6 @@ def test_solver_against_oracle_at_scale():
         plans.append((size, 0.5, i % 6, 30_000 + i))
     assert len(plans) >= 500
 
-    forced = MatcherConfig(exact_threshold=0)
     exact_checked = approx_checked = 0
     for size, connectivity, mutations, seed in plans:
         pair = generate_pair(
@@ -190,7 +188,7 @@ def test_solver_against_oracle_at_scale():
         default = match_bnodes(pair.g1, pair.g2)
         assert default.method == BRUTE_FORCE
         assert default.cost == oracle.cost, f"exact tier disagrees at seed {seed}"
-        other = match_bnodes(pair.g1, pair.g2, config=forced)
+        other = match_bnodes(pair.g1, pair.g2, exact_threshold=0)
         if other.method in (ASSIGNMENT, BRUTE_FORCE):
             # brute_force only reappears here when mutations emptied one
             # side's bnode set; both tiers are exact either way

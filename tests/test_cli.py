@@ -116,6 +116,42 @@ def test_malformed_mapping_file_exits_three(tmp_path, capsys, truth):
     assert err.startswith("error: line 2:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mapping", ["M 1 x\nM 2 x\n", "M 1 x\nM 1 y\n"],
+                         ids=["target", "source"])
+def test_repeated_mapping_label_exits_three(tmp_path, capsys, mapping):
+    delta = tmp_path / "d.rdfd"
+    delta.write_text("# direction=target-labels\n" + mapping)
+    pair = tmp_path / "pairs" / "p1"
+    pair.mkdir(parents=True)
+    (pair / "g1.nt").write_text(Path(G1).read_text())
+    (pair / "g2.nt").write_text(Path(G2).read_text())
+    (pair / "truth.bm").write_text("# method=generator\n" + mapping)
+    for argv in (["patch", G1, str(delta)], ["bench", str(tmp_path / "pairs")]):
+        assert main(argv) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: repeated label") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ch", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+                         ids=lambda c: f"U+{ord(c):04X}")
+def test_literals_with_vertical_whitespace_round_trip(tmp_path, capsys, ch):
+    # Only "\n" ends a line: str.splitlines would also break at ``ch``.
+    old, new = tmp_path / "old.nt", tmp_path / "new.nt"
+    old.write_text('_:a <http://x/p> "plain" .\n', encoding="utf-8")
+    new.write_text(f'_:b <http://x/p> "one{ch}two" .\n_:b <http://x/q> <http://x/o> .\n',
+                   encoding="utf-8")
+    repo, version, delta, patched = (str(tmp_path / name)
+                                     for name in ("repo", "v2.nt", "d.rdfd", "p.nt"))
+    assert main(["vs", "init", repo, str(old)]) == 0
+    assert main(["vs", "commit", repo, str(new)]) == 0
+    assert main(["vs", "checkout", repo, "2", "-o", version]) == 0
+    assert graphs_equivalent(load_graph(version), load_graph(str(new)))
+    assert main(["diff", str(old), str(new), "-o", delta]) == 0
+    assert main(["patch", str(old), delta, "-o", patched]) == 0
+    assert graphs_equivalent(load_graph(patched), load_graph(str(new)))
+    capsys.readouterr()
+
+
 def test_diff_patch_pipe_round_trips_byte_identically(tmp_path):
     # diff to stdout, patch from stdin, compare canonical serializations
     diff = subprocess.run(
@@ -305,6 +341,38 @@ class TestVersionStoreCommands:
         assert main(["vs", "checkout", str(repo), "1"]) == 3
         err = capsys.readouterr().err
         assert err == f"error: {repo}: corrupt manifest\n"
+
+    def test_a_delta_left_out_of_the_manifest_is_io_error(self, tmp_path, capsys):
+        repo = tmp_path / "repo"
+        for argv in (["init", str(repo), G1], ["commit", str(repo), G2],
+                     ["commit", str(repo), G3]):
+            assert main(["vs", *argv]) == 0
+        manifest = repo / "manifest.txt"
+        kept = [l for l in manifest.read_text().splitlines(True) if not l.startswith("0002")]
+        manifest.write_text("".join(kept))
+        with open(repo / "0002.rdfd", "a") as fh:
+            fh.write("A <http://evil> <http://x/p> <http://x/o> .\n")
+        capsys.readouterr()
+        assert main(["vs", "checkout", str(repo), "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {repo}: corrupt manifest\n"
+        assert "evil" not in captured.out
+
+    @pytest.mark.parametrize("name", ["base.nt", "manifest.txt", "0001.rdfd", "new.nt", "."])
+    def test_output_inside_the_repository_is_refused(self, tmp_path, capsys, name):
+        repo = tmp_path / "repo"
+        assert main(["vs", "init", str(repo), G1]) == 0
+        assert main(["vs", "commit", str(repo), G2]) == 0
+        before = {p.name: p.read_bytes() for p in repo.iterdir()}
+        out = str(repo / name)
+        capsys.readouterr()
+        assert main(["vs", "checkout", str(repo), "2", "-o", out]) == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert main(["vs", "patch", str(repo), "--from", "1", "--to", "2", "-o", out]) == 2
+        assert "refusing to overwrite" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in repo.iterdir()} == before
+        assert main(["vs", "checkout", str(repo), "2"]) == 0
+        capsys.readouterr()
 
 
 def test_gen_and_bench(tmp_path, capsys):

@@ -16,12 +16,10 @@ from bnodematch import (
     EntailmentMapping,
     EquivalenceRelation,
     Graph,
-    MatcherConfig,
     Renaming,
     Term,
     Triple,
     bnode,
-    build_signatures,
     entails,
     find_equivalence_bijection,
     graphs_equivalent,
@@ -43,6 +41,8 @@ from bnodematch.decision import (
 )
 from bnodematch.generator import GenSpec, generate_pair
 from bnodematch.matcher import (
+    REFINEMENT,
+    BnodeMapping,
     _color_of,
     _grounder,
     _incident_tokens,
@@ -51,7 +51,7 @@ from bnodematch.matcher import (
     Signature,
 )
 from bnodematch.model import BNODE, bnode_components, incident_triples
-from conftest import random_relabeling, small_pair
+from conftest import random_relabeling, signatures, small_pair
 
 NAME = iri("http://example.org/name")
 SURNAME = iri("http://example.org/surname")
@@ -110,19 +110,24 @@ class TestEquivalence:
         # same bnode count and equal address costs aside, literals differ
         assert not graphs_equivalent(g2, g3)
 
-    def test_fallback_search_is_exercised(self):
-        # threshold 0 forces the approximate tier; the exact fallback must
-        # still certify equivalence of relabeled connected graphs
-        pair = small_pair(8, bnodes=4, connectivity=0.8, mutations=0)
-        cfg = MatcherConfig(exact_threshold=0, max_refinement_rounds=0)
-        assert graphs_equivalent(pair.g1, pair.g2, config=cfg)
+    @staticmethod
+    def _force_approximate(monkeypatch):
+        """The matcher answers with a positive-cost approximate mapping."""
+        monkeypatch.setattr(decision, "match_bnodes",
+                            lambda g1, g2: BnodeMapping({}, cost=1, method=REFINEMENT))
 
-    def test_fallback_search_rejects_inequivalents(self):
+    def test_fallback_search_is_exercised(self, monkeypatch):
+        # an approximate result with positive cost forces the exact fallback,
+        # which must still certify equivalence of relabeled connected graphs
+        pair = small_pair(8, bnodes=4, connectivity=0.8, mutations=0)
+        self._force_approximate(monkeypatch)
+        assert graphs_equivalent(pair.g1, pair.g2)
+
+    def test_fallback_search_rejects_inequivalents(self, monkeypatch):
         pair = small_pair(13, bnodes=4, connectivity=0.8, mutations=3)
-        cfg = MatcherConfig(exact_threshold=0, max_refinement_rounds=0)
-        assert graphs_equivalent(pair.g1, pair.g2, config=cfg) == graphs_equivalent(
-            pair.g1, pair.g2
-        )
+        expected = graphs_equivalent(pair.g1, pair.g2)
+        self._force_approximate(monkeypatch)
+        assert graphs_equivalent(pair.g1, pair.g2) == expected
 
     def test_budget_errors_out_instead_of_guessing(self):
         x, y = bnode("x"), bnode("y")
@@ -477,7 +482,7 @@ class TestAgainstTheReplacedSearches:
                 ref1, ref2, rounds = _reference_stable_signatures(a, b, equiv)
                 assert list(sig1.items()) == list(ref1.items())
                 assert list(sig2.items()) == list(ref2.items())
-                assert list(build_signatures(a, equiv, rounds).items()) == list(ref1.items())
+                assert list(signatures(a, equiv, rounds).items()) == list(ref1.items())
 
 
 # -- long RDF collections -------------------------------------------------------

@@ -28,7 +28,11 @@ from bnodematch.delta import (
     format_delta,
     parse_delta,
 )
+from bnodematch.ntriples import ParseError
 from conftest import random_relabeling, small_pair
+
+# Line breaks to ``str.splitlines`` that N-Triples allows raw inside a literal.
+VERTICAL_WHITESPACE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 MUS = "http://www.example.com/music/v0/"
 
@@ -211,6 +215,20 @@ class TestDeltaFile:
     def test_format_is_byte_stable(self, g1, g3):
         script = mapped_delta(g1, g3, match_bnodes(g1, g3))
         assert format_delta(script) == format_delta(parse_delta(format_delta(script)))
+
+    @pytest.mark.parametrize("text", ["M a x\nM b x\n", "M a x\nM a y\n"],
+                             ids=["target", "source"])
+    def test_repeated_mapping_label_is_a_parse_error(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_delta("# direction=target-labels\n" + text)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("ch", VERTICAL_WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+    def test_literals_with_vertical_whitespace_round_trip(self, ch):
+        g = Graph([Triple(bnode("a"), iri("http://x/p"), literal(f"one{ch}two"))])
+        for script in (plain_delta(Graph(), g), plain_delta(g, Graph())):
+            loaded = parse_delta(format_delta(script))
+            assert (loaded.additions, loaded.deletions) == (script.additions, script.deletions)
 
     def test_bad_lines_are_rejected(self):
         with pytest.raises(ValueError):

@@ -45,8 +45,7 @@ def test_connectivity_zero_stays_unconnected():
         assert not has_connected_bnodes(pair.g1)
         assert not has_connected_bnodes(pair.g2)
         oracle = brute_force_match(pair.g1, pair.g2)
-        tier2 = match_bnodes(pair.g1, pair.g2,
-                             config=__import__("bnodematch").MatcherConfig(exact_threshold=0))
+        tier2 = match_bnodes(pair.g1, pair.g2, exact_threshold=0)
         assert tier2.cost == oracle.cost
 
 

@@ -17,7 +17,7 @@ from bnodematch import (
     rename_graph,
 )
 from bnodematch.equivalence import OWL_SAMEAS
-from bnodematch.integration import integrate, integrate_all, prefix_bnodes
+from bnodematch.integration import integrate_all, prefix_bnodes
 from conftest import small_pair
 
 MUS = "http://www.example.com/music/v0/"
@@ -32,8 +32,7 @@ def _links_without_prefix(result):
 
 
 def test_two_source_integration_links_the_addresses(g1, g2):
-    equiv = EquivalenceRelation.for_graphs("suffix", [g1, g2])
-    result = integrate(g1, g2, equiv)
+    result = integrate_all([g1, g2], "suffix")
     assert _links_without_prefix(result) == {("1", "2")}
     # merged corpus keeps both sources plus the link triple; the one
     # ground triple common to both sources collapses under set union
@@ -62,7 +61,7 @@ def test_policy_monotonicity_on_the_fixture_corpus(g1, g2, g3, g4):
 
 
 def test_integrating_with_an_empty_graph_is_identity(g1):
-    result = integrate(g1, Graph(), EquivalenceRelation.exact())
+    result = integrate_all([g1, Graph()], "exact")
     assert result.bnode_links == set()
     assert graphs_equivalent(result.merged, g1)
 
@@ -71,13 +70,12 @@ def test_scope_safety_on_colliding_labels(g3, g4):
     # both graphs reuse small numeric labels; prefixing keeps them apart
     p1, p2 = prefix_bnodes(g3, "src1"), prefix_bnodes(g4, "src2")
     assert not (p1.bnodes() & p2.bnodes())
-    result = integrate(g3, g3, EquivalenceRelation.exact())
+    result = integrate_all([g3, g3], "exact")
     assert _links_without_prefix(result) == {("3", "3")}
 
 
 def test_unify_collapses_linked_pairs(g1, g2):
-    equiv = EquivalenceRelation.for_graphs("suffix", [g1, g2])
-    unified = integrate(g1, g2, equiv, unify=True)
+    unified = integrate_all([g1, g2], "suffix", unify=True)
     assert len(unified.merged.bnodes()) == 1
     sameas = iri(OWL_SAMEAS)
     bnode_sameas = [
@@ -93,18 +91,16 @@ def test_report_counts_matched_and_unmatched(g1, g2, g3, g4):
 
 
 def test_accept_callback_overrides_the_default_rule(g1, g2):
-    equiv = EquivalenceRelation.for_graphs("suffix", [g1, g2])
-    rejecting = integrate(g1, g2, equiv, accept=lambda *a: False)
+    rejecting = integrate_all([g1, g2], "suffix", accept=lambda *a: False)
     assert rejecting.bnode_links == set()
-    accepting = integrate(g1, g2, equiv, accept=lambda *a: True)
+    accepting = integrate_all([g1, g2], "suffix", accept=lambda *a: True)
     assert _links_without_prefix(accepting) == {("1", "2")}
 
 
 def test_weakly_overlapping_addresses_are_not_linked(g1, g3):
     # the two addresses share only the hasAddress in-edge; the majority
     # rule must refuse the pair even though the matcher proposes it
-    equiv = EquivalenceRelation.for_graphs("suffix", [g1, g3])
-    result = integrate(g1, g3, equiv)
+    result = integrate_all([g1, g3], "suffix")
     assert result.bnode_links == set()
     assert len(result.candidates) >= 0  # candidates stay inspectable
 

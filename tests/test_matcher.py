@@ -12,12 +12,10 @@ from bnodematch import (
     EquivalenceRelation,
     Graph,
     InstanceTooLarge,
-    MatcherConfig,
     Renaming,
     Triple,
     bnode,
     brute_force_match,
-    build_signatures,
     iri,
     literal,
     mapping_cost,
@@ -38,7 +36,7 @@ from bnodematch.matcher import (
     format_mapping,
     parse_mapping,
 )
-from conftest import random_relabeling, small_pair
+from conftest import random_relabeling, signatures, small_pair
 
 
 class TestPairDistance:
@@ -89,33 +87,29 @@ class TestPairDistance:
 
 class TestSignatures:
     def test_matching_bnodes_share_a_signature(self, g1, g2):
-        s1 = build_signatures(g1)[bnode("1")]
-        s2 = build_signatures(g2)[bnode("2")]
+        s1 = signatures(g1)[bnode("1")]
+        s2 = signatures(g2)[bnode("2")]
         assert s1.tokens == s2.tokens
         assert s1.color == s2.color
 
     def test_token_count_equals_degree(self, g4):
-        sigs = build_signatures(g4)
+        sigs = signatures(g4)
         assert len(sigs[bnode("4")].tokens) == 5
         assert len(sigs[bnode("5")].tokens) == 3
 
     def test_different_predicates_give_different_signatures(self):
         p, q, u = iri("http://p"), iri("http://q"), iri("http://u")
         g = Graph([Triple(bnode("a"), p, u), Triple(bnode("b"), q, u)])
-        sigs = build_signatures(g)
+        sigs = signatures(g)
         assert sigs[bnode("a")].tokens != sigs[bnode("b")].tokens
 
     def test_connected_pair_changes_between_rounds(self, g4):
-        round1 = build_signatures(g4, rounds=1)
-        round2 = build_signatures(g4, rounds=2)
+        round1 = signatures(g4, rounds=1)
+        round2 = signatures(g4, rounds=2)
         # recomputed by hand: round 1 sees the neighbor as a placeholder,
         # round 2 sees its color, so the tokens must differ
         assert round1[bnode("4")].tokens != round2[bnode("4")].tokens
         assert round1[bnode("5")].tokens != round2[bnode("5")].tokens
-
-    def test_rounds_must_be_positive(self, g4):
-        with pytest.raises(ValueError):
-            build_signatures(g4, rounds=0)
 
 
 class TestSolver:
@@ -142,18 +136,17 @@ class TestSolver:
     def test_swap_convention(self, g4, g1):
         # first graph has more bnodes: solved swapped, inverted back
         m = match_bnodes(g4, g1)
-        assert m.swapped
         assert set(m.pairs) <= g4.bnodes()
         assert set(m.pairs.values()) <= g1.bnodes()
 
     def test_assignment_tier_engages_on_unconnected_graphs(self):
         pair = small_pair(3, bnodes=5, connectivity=0.0, mutations=1)
-        m = match_bnodes(pair.g1, pair.g2, config=MatcherConfig(exact_threshold=0))
+        m = match_bnodes(pair.g1, pair.g2, exact_threshold=0)
         assert m.method == ASSIGNMENT
 
     def test_refinement_tier_engages_on_connected_graphs(self):
         pair = small_pair(4, bnodes=5, connectivity=0.9, mutations=1)
-        m = match_bnodes(pair.g1, pair.g2, config=MatcherConfig(exact_threshold=0))
+        m = match_bnodes(pair.g1, pair.g2, exact_threshold=0)
         assert m.method == REFINEMENT
 
     def test_deterministic_given_config(self):
@@ -179,7 +172,7 @@ class TestBruteForceOracle:
         for seed in range(6):
             pair = small_pair(40 + seed, bnodes=4, connectivity=0.0, mutations=2)
             oracle = brute_force_match(pair.g1, pair.g2)
-            tier2 = match_bnodes(pair.g1, pair.g2, config=MatcherConfig(exact_threshold=0))
+            tier2 = match_bnodes(pair.g1, pair.g2, exact_threshold=0)
             assert tier2.method == ASSIGNMENT
             assert tier2.cost == oracle.cost
 
@@ -219,7 +212,7 @@ def test_refinement_cost_is_bounded_both_ways():
     for seed in range(12):
         pair = small_pair(900 + seed, bnodes=4, connectivity=0.6, mutations=seed % 5)
         oracle = brute_force_match(pair.g1, pair.g2)
-        approx = match_bnodes(pair.g1, pair.g2, config=MatcherConfig(exact_threshold=0))
+        approx = match_bnodes(pair.g1, pair.g2, exact_threshold=0)
         if approx.method == REFINEMENT:
             empty = mapping_cost(pair.g1, pair.g2, {})
             assert oracle.cost <= approx.cost <= empty
@@ -264,6 +257,19 @@ def test_mapping_file_rejects_garbage():
         parse_mapping("M a\n")
     with pytest.raises(ValueError):
         parse_mapping("Z a b\n")
+
+
+@pytest.mark.parametrize("text", ["M a x\nM b x\n", "M a x\nM a y\n"],
+                         ids=["target", "source"])
+def test_mapping_file_rejects_a_repeated_label(text):
+    with pytest.raises(ntriples.ParseError) as err:
+        parse_mapping(text)
+    assert err.value.line_no == 2
+
+
+def test_negative_exact_threshold_is_rejected(g1, g2):
+    with pytest.raises(ValueError, match="exact_threshold must be >= 0"):
+        match_bnodes(g1, g2, exact_threshold=-1)
 
 
 # -- the vectorised cost matrix ---------------------------------------------
@@ -364,7 +370,7 @@ def test_assignment_tier_agrees_with_oracle_under_suffix():
             g2 = _with_self_loops(g2)
         equiv = EquivalenceRelation.for_graphs("suffix", [pair.g1, g2])
         oracle = brute_force_match(pair.g1, g2, equiv)
-        tier2 = match_bnodes(pair.g1, g2, equiv, MatcherConfig(exact_threshold=0))
+        tier2 = match_bnodes(pair.g1, g2, equiv, exact_threshold=0)
         assert tier2.method == ASSIGNMENT, f"seed {seed}"
         assert tier2.cost == oracle.cost, f"seed {seed}"
 
@@ -415,7 +421,7 @@ class TestPredicateEquivalence:
             assert oracle.cost == brute_force_match(pair.g1, pair.g2).cost, f"seed {seed}"
             exact = match_bnodes(pair.g1, moved, equiv)
             assert (exact.method, exact.cost) == (BRUTE_FORCE, oracle.cost), f"seed {seed}"
-            forced = match_bnodes(pair.g1, moved, equiv, MatcherConfig(exact_threshold=0))
+            forced = match_bnodes(pair.g1, moved, equiv, exact_threshold=0)
             tiers.add(forced.method)
             if forced.method == REFINEMENT:
                 assert forced.cost >= oracle.cost, f"seed {seed}"
@@ -443,8 +449,8 @@ class TestPredicateEquivalence:
         moved = _all_iris_moved(pair.g1)
         equiv = EquivalenceRelation.for_graphs("suffix", [pair.g1, moved])
         for rounds in (1, 2, 3):
-            before = build_signatures(pair.g1, equiv, rounds)
-            after = build_signatures(moved, equiv, rounds)
+            before = signatures(pair.g1, equiv, rounds)
+            after = signatures(moved, equiv, rounds)
             assert {b: s.color for b, s in before.items()} == {
                 b: s.color for b, s in after.items()
             }

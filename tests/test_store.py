@@ -92,6 +92,29 @@ def test_corrupt_manifest_lines_raise_store_error(repo, line):
         VersionStore(repo.path)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: [l for l in lines if not l.startswith("0002.rdfd")],
+        lambda lines: lines + [lines[1]],
+        lambda lines: lines + ["0003.rdfd " + "0" * 64],
+        lambda lines: [l.replace("0002.rdfd", "0009.rdfd") for l in lines],
+    ],
+    ids=["delta-left-out", "base-twice", "file-past-the-count", "wrong-name"],
+)
+def test_manifest_must_list_exactly_the_version_files(tmp_path, g1, g2, g3, edit):
+    store = VersionStore.init(tmp_path / "r", g1)
+    store.commit(g2)
+    store.commit(g3)
+    manifest = tmp_path / "r" / "manifest.txt"
+    manifest.write_text("".join(l + "\n" for l in edit(manifest.read_text().splitlines())))
+    # a delta the manifest no longer vouches for may say anything
+    with open(tmp_path / "r" / "0002.rdfd", "a") as fh:
+        fh.write("A <http://evil> <http://x/p> <http://x/o> .\n")
+    with pytest.raises(StoreError, match="corrupt manifest"):
+        VersionStore(tmp_path / "r")
+
+
 def test_init_refuses_nonempty_directories(tmp_path, g1):
     target = tmp_path / "busy"
     target.mkdir()
