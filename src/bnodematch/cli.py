@@ -66,14 +66,14 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _guard_output(out: Optional[str], inputs: list[str]) -> None:
-    """Refuse an output path that is an input or lies inside one (a repository)."""
+    """Refuse an output path that is an input or lies inside one (a directory)."""
     if out is None or out == "-":
         return
     target = os.path.realpath(out)
     for path in inputs:
         root = os.path.realpath(path)
         if path != "-" and os.path.commonpath([root, target]) == root:
-            what = "input file" if target == root else f"repository {path!r} with"
+            what = "input file" if target == root else f"input directory {path!r} with"
             raise UsageError(f"refusing to overwrite {what} {out!r}")
 
 
@@ -221,6 +221,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _guard_output(args.output, [args.directory])
     rows = []
     for entry in sorted(os.listdir(args.directory)):
         pair_dir = os.path.join(args.directory, entry)

@@ -93,16 +93,14 @@ def _bijection_search(g1: Graph, g2: Graph, budget: _Budget) -> Optional[dict[Te
     """Exhaustive search for a triple-preserving bnode bijection."""
     if _ground_triples(g1) != _ground_triples(g2):
         return None
-    sig1, sig2 = _stable_signatures(g1, g2, EquivalenceRelation.exact())
+    colors1, colors2 = _stable_signatures(g1, g2, EquivalenceRelation.exact())
     # A bijection maps color classes onto color classes of the same size.
-    if Counter(s.color for s in sig1.values()) != Counter(s.color for s in sig2.values()):
+    if Counter(colors1.values()) != Counter(colors2.values()):
         return None
     by_color: dict[str, list[Term]] = {}
-    for b, s in sig2.items():
-        by_color.setdefault(s.color, []).append(b)
-    candidates = {
-        b1: sorted(by_color[s.color], key=Term.sort_key) for b1, s in sig1.items()
-    }
+    for b, color in colors2.items():
+        by_color.setdefault(color, []).append(b)
+    candidates = {b1: sorted(by_color[color], key=Term.sort_key) for b1, color in colors1.items()}
     order = sorted(candidates, key=lambda b: (len(candidates[b]), b.sort_key()))
     return _search(g1, g2, order, candidates, budget, injective=True)
 

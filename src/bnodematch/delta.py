@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 from . import ntriples
 from .matcher import BnodeMapping, _as_dict, _read_pair
-from .model import BNODE, Graph, Renaming, Term, Triple, bnode, rename_graph
+from .model import Graph, Renaming, Term, Triple, bnode, rename_graph
 
 TARGET_LABELS = "target-labels"
 SOURCE_LABELS = "source-labels"
@@ -67,18 +67,6 @@ def _fresh_label(base: str, used: set[str]) -> str:
     return candidate
 
 
-def _check_mapping(pairs: dict[Term, Term], g1: Graph) -> None:
-    seen: set[Term] = set()
-    for src, dst in pairs.items():
-        if src.kind != BNODE or dst.kind != BNODE:
-            raise ValueError(f"mapping pair ({src!r}, {dst!r}) is not bnode-to-bnode")
-        if src not in g1.bnodes():
-            raise ValueError(f"mapping domain term {src!r} is not a bnode of the source graph")
-        if dst in seen:
-            raise ValueError(f"mapping is not injective at {dst!r}")
-        seen.add(dst)
-
-
 def mapped_delta(
     g1: Graph,
     g2: Graph,
@@ -89,45 +77,37 @@ def mapped_delta(
 
     ``target-labels``: operations carry the new graph's labels; apply by
     renaming the old graph first.  ``source-labels``: operations carry the
-    old graph's labels and apply directly to it.  Partial mappings are
-    allowed; unmapped bnodes on either side are treated as fresh and get
-    collision-free substitute labels, so no source-scope label leaks into
-    a target-labels script (and vice versa).
+    old graph's labels and apply directly to it; that script is the
+    reverse of the target-labels script from g2 to g1 under the inverted
+    mapping.  Partial mappings are allowed; unmapped bnodes on either side
+    are treated as fresh and get collision-free substitute labels, so no
+    source-scope label leaks into a target-labels script (and vice versa).
     """
-    pairs = _as_dict(mapping)
-    _check_mapping(pairs, g1)
-    method = mapping.method if isinstance(mapping, BnodeMapping) else ""
-    cost = mapping.cost if isinstance(mapping, BnodeMapping) else 0
-
-    used = {b.value for b in g1.bnodes() | g2.bnodes()}
-    used.update(b.value for b in pairs.values())
-    if direction == TARGET_LABELS:
-        renaming = dict(pairs)
-        for b1 in sorted(g1.bnodes() - set(pairs), key=Term.sort_key):
-            renaming[b1] = bnode(_fresh_label(b1.value, used))
-        g1m = rename_graph(g1, Renaming(renaming))
-        additions = g2.triples - g1m.triples
-        deletions = g1m.triples - g2.triples
-        stored = renaming
-    elif direction == SOURCE_LABELS:
-        inverse = {dst: src for src, dst in pairs.items()}
-        stored = dict(pairs)
-        renaming = dict(inverse)
-        for b2 in sorted(g2.bnodes() - set(inverse), key=Term.sort_key):
-            fresh = bnode(_fresh_label(b2.value, used))
-            renaming[b2] = fresh
-            stored[fresh] = b2
-        g2m = rename_graph(g2, Renaming(renaming))
-        additions = g2m.triples - g1.triples
-        deletions = g1.triples - g2m.triples
-    else:
+    if direction not in (TARGET_LABELS, SOURCE_LABELS):
         raise ValueError(f"unknown direction: {direction!r}")
+    if not isinstance(mapping, BnodeMapping):
+        mapping = BnodeMapping(_as_dict(mapping))
+    for src in mapping.pairs:
+        if src not in g1.bnodes():
+            raise ValueError(f"mapping domain term {src!r} is not a bnode of the source graph")
+    if direction == TARGET_LABELS:
+        return _target_delta(g1, g2, mapping)
+    return reverse_delta(_target_delta(g2, g1, mapping.inverted()))
 
+
+def _target_delta(g1: Graph, g2: Graph, mapping: BnodeMapping) -> DeltaScript:
+    """g1 renamed into g2's labels, unmapped bnodes fresh, then differenced."""
+    used = {b.value for b in g1.bnodes() | g2.bnodes()}
+    used.update(b.value for pair in mapping.pairs.items() for b in pair)  # absent images too
+    renaming = dict(mapping.pairs)
+    for b1 in sorted(g1.bnodes() - set(renaming), key=Term.sort_key):
+        renaming[b1] = bnode(_fresh_label(b1.value, used))
+    g1m = rename_graph(g1, Renaming(renaming))
     return DeltaScript(
-        additions=additions,
-        deletions=deletions,
-        mapping_used=BnodeMapping(stored, cost=cost, method=method),
-        direction=direction,
+        additions=g2.triples - g1m.triples,
+        deletions=g1m.triples - g2.triples,
+        mapping_used=BnodeMapping(renaming, cost=mapping.cost, method=mapping.method),
+        direction=TARGET_LABELS,
     )
 
 

@@ -2,9 +2,9 @@
 
 Three policies: exact string equality, canonical-suffix equality, and a
 sameAs closure built from externally supplied pairs.  The relation is
-constructed once and then queried concurrently; representatives of each
-group are the member with the shortest rendered form (ties broken
-lexicographically).
+constructed once and then queried concurrently; the representative of
+each group is its registered member with the shortest rendered form (ties
+broken lexicographically).
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ class EquivalenceRelation:
     # -- queries -----------------------------------------------------------
 
     def representative(self, a: Term) -> Term:
-        """Group member with the shortest rendered form; idempotent."""
+        """The representative of ``a``'s group; idempotent.  An unregistered
+        IRI joins the suffix group it falls in, so it never splits one."""
         self._check_term(a)
         rep = self._reps.get(a)
         if rep is not None:
@@ -136,7 +137,7 @@ class EquivalenceRelation:
         if self.policy == SUFFIX and a.kind == IRI:
             group = self._suffix_groups.get(canonical_suffix(a.value))
             if group:
-                return min(group + [a], key=_rep_key)
+                return self._reps[group[0]]
         return a
 
 

@@ -18,18 +18,19 @@ Three strategies, picked by instance shape:
 * color-refinement signature seeding plus pairwise hill-climbing otherwise
   (cost is an upper bound on the minimum).
 
-One token rule, ``_incident_tokens``, feeds signatures, distances, lower
-bounds and the cost matrix.  Every IRI and literal, predicates included,
+One token rule, ``_incident_tokens``, feeds colors, distances, the bound
+matrix and the cost matrix.  Every IRI and literal, predicates included,
 compares through the equivalence relation: renamings never move
 predicates, but two sources may name one property differently, and the
 integration URI links treat such predicates as one.
 
-The assignment tier and the residue step of the refinement tier both need
-a whole matrix of pair distances under one fixed mapping.
-``_PairContext.cost_matrix`` builds it in one pass from token sets: with
-L and R the token sets of a pair, ``dist = |L △ R| = |L| + |R| − 2·|L ∩ R|``.
-Each side's tokens are computed once and interned to ints, and the
-``|L ∩ R|`` counts come from one sparse product of token incidence
+Every whole matrix of pair distances comes from one kernel,
+``_distance_matrix``: the assignment tier and the refinement residue read
+it under one fixed mapping (``_PairContext.cost_matrix``), and the exact
+search reads its bounds from it with every neighbor wildcarded
+(``_PairContext.bound_matrix``).  With L and R the token sets of a pair,
+``dist = |L △ R| = |L| + |R| − 2·|L ∩ R|``.  Tokens are interned to ints,
+and the ``|L ∩ R|`` counts come from one sparse product of token incidence
 matrices, which visits only the cells whose bnodes share a token.  Every
 other cell is ``|L| + |R|``, filled by broadcasting with no Python work.
 The counts are exact integers, so the matrix equals the per-cell ``dist``
@@ -109,15 +110,6 @@ class BnodeMapping:
         return sorted(self.pairs.items(), key=lambda p: (p[0].value, p[1].value))
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Canonical token multiset describing one bnode's neighborhood."""
-
-    bnode: Term
-    tokens: tuple[str, ...]
-    color: str
-
-
 def _as_dict(mapping: Union[BnodeMapping, Mapping[Term, Term], None]) -> dict[Term, Term]:
     if mapping is None:
         return {}
@@ -153,8 +145,6 @@ class _PairContext:
             b: len(incident_triples(g2, b)) for b in self.right
         }
         self._memo: dict[tuple, int] = {}
-        self._lb_left: dict[Term, frozenset[str]] = {}
-        self._lb_right: dict[Term, frozenset[str]] = {}
 
     @staticmethod
     def _bnode_neighbors(g: Graph, b: Term) -> tuple[Term, ...]:
@@ -166,17 +156,8 @@ class _PairContext:
         return tuple(sorted(nbrs, key=Term.sort_key))
 
     def _left_tokens(self, b1: Term, m: Mapping[Term, Term]) -> frozenset[str]:
-        """b1's tokens with each bnode neighbor named by its image under ``m``.
-
-        An unmapped neighbor gets a marker no right-side token carries, so
-        it never matches.
-        """
-
-        def neighbor(n: Term) -> str:
-            image = m.get(n)
-            return _UNMAPPED + n.value if image is None else ntriples.render_term(image)
-
-        return frozenset(_incident_tokens(self.g1, b1, self._ground, neighbor))
+        """b1's tokens with each bnode neighbor named by its image under ``m``."""
+        return frozenset(_incident_tokens(self.g1, b1, self._ground, _image_namer(m)))
 
     def penalty(self, b1: Term) -> int:
         return self._penalty[b1]
@@ -201,44 +182,23 @@ class _PairContext:
         self._memo[key] = value
         return value
 
-    def lower_bound(self, b1: Term, b2: Term) -> int:
-        """Mapping-independent lower bound: neighbor slots wildcarded."""
-        lw = self._lb_left.get(b1)
-        if lw is None:
-            lw = self._lb_left[b1] = frozenset(
-                _incident_tokens(self.g1, b1, self._ground, _wildcard))
-        rw = self._lb_right.get(b2)
-        if rw is None:
-            rw = self._lb_right[b2] = frozenset(
-                _incident_tokens(self.g2, b2, self._ground, _wildcard))
-        return len(lw ^ rw)
-
     def cost_matrix(self, rows: list[Term], cols: list[Term],
                     m: Mapping[Term, Term]) -> np.ndarray:
-        """``dist(b1, b2, m) - penalty_right(b2)`` for every row × column.
+        """``dist(b1, b2, m) - penalty_right(b2)`` for every row × column."""
+        matrix = _distance_matrix([self._left_tokens(b1, m) for b1 in rows],
+                                  [self._right_tokens[b2] for b2 in cols])
+        return matrix - np.array([self._penalty_right[b2] for b2 in cols], dtype=np.int64)
 
-        Left tokens absent from every column's token set can never be
-        shared, so they count towards ``|L|`` but are not interned.
+    def bound_matrix(self) -> np.ndarray:
+        """Mapping-independent lower bounds on ``dist`` for every left × right pair.
+
+        Every neighbor on both sides is one wildcard.  That can only merge
+        tokens, so no entry exceeds its pair's distance under any mapping.
         """
-        vocab: dict[str, int] = {}
-        col_ids = [
-            [vocab.setdefault(tok, len(vocab)) for tok in self._right_tokens[b2]]
-            for b2 in cols
-        ]
-        row_ids = []
-        row_sizes = np.empty(len(rows), dtype=np.int64)
-        for i, b1 in enumerate(rows):
-            toks = self._left_tokens(b1, m)
-            row_sizes[i] = len(toks)
-            row_ids.append([vocab[tok] for tok in toks if tok in vocab])
-        col_terms = np.array(
-            [len(self._right_tokens[b2]) - self._penalty_right[b2] for b2 in cols],
-            dtype=np.int64,
-        )
-        matrix = row_sizes[:, None] + col_terms[None, :]
-        shared = (_incidence(row_ids, len(vocab)) @ _incidence(col_ids, len(vocab)).T).tocoo()
-        matrix[shared.row, shared.col] -= 2 * shared.data
-        return matrix
+        def wild(g: Graph, bnodes: list[Term]) -> list[frozenset[str]]:
+            return [frozenset(_incident_tokens(g, b, self._ground, _wildcard)) for b in bnodes]
+
+        return _distance_matrix(wild(self.g1, self.left), wild(self.g2, self.right))
 
     def contribution(self, b1: Term, m: Mapping[Term, Term]) -> int:
         """b1's share of the objective: its pair distance, or its degree if unmapped."""
@@ -293,6 +253,17 @@ def _incident_tokens(g: Graph, owner: Term, ground: Callable[[Term], str],
     return [f"({slot(t.s)} {ground(t.p)} {slot(t.o)})" for t in incident_triples(g, owner)]
 
 
+def _image_namer(m: Mapping[Term, Term]) -> Callable[[Term], str]:
+    """Names a left neighbor by its image under ``m``; an unmapped one gets a
+    marker that no right-side token carries, so it never matches."""
+
+    def neighbor(n: Term) -> str:
+        image = m.get(n)
+        return _UNMAPPED + n.value if image is None else ntriples.render_term(image)
+
+    return neighbor
+
+
 def _incidence(ids: list[list[int]], width: int) -> csr_matrix:
     """0/1 matrix with one row per id list and a one in each listed column."""
     indptr = np.zeros(len(ids) + 1, dtype=np.int64)
@@ -301,6 +272,22 @@ def _incidence(ids: list[list[int]], width: int) -> csr_matrix:
                           count=int(indptr[-1]))
     data = np.ones(len(indices), dtype=np.int64)
     return csr_matrix((data, indices, indptr), shape=(len(ids), width))
+
+
+def _distance_matrix(rows: list[frozenset[str]], cols: list[frozenset[str]]) -> np.ndarray:
+    """``|L △ R| = |L| + |R| − 2·|L ∩ R|`` for every row × column token set.
+
+    Row tokens absent from every column's set can never be shared, so they
+    count towards ``|L|`` but are not interned.
+    """
+    vocab: dict[str, int] = {}
+    col_ids = [[vocab.setdefault(tok, len(vocab)) for tok in toks] for toks in cols]
+    row_ids = [[vocab[tok] for tok in toks if tok in vocab] for toks in rows]
+    matrix = (np.array([len(t) for t in rows], dtype=np.int64)[:, None]
+              + np.array([len(t) for t in cols], dtype=np.int64)[None, :])
+    shared = (_incidence(row_ids, len(vocab)) @ _incidence(col_ids, len(vocab)).T).tocoo()
+    matrix[shared.row, shared.col] -= 2 * shared.data
+    return matrix
 
 
 def pair_distance(
@@ -315,18 +302,15 @@ def pair_distance(
 
     b1 and b2 compare as each other; neighbor bnodes compare through
     ``mapping`` (unmapped neighbors never match); IRIs and literals compare
-    through ``equiv`` (exact equality by default).
+    through ``equiv`` (exact equality by default).  A bnode absent from its
+    graph has no incident triples.
     """
     if b1.kind != BNODE or b2.kind != BNODE:
         raise ValueError("pair_distance expects bnodes on both sides")
-    ctx = _PairContext(g1, g2, equiv or EquivalenceRelation.exact())
-    if b1 not in g1.bnodes() or b2 not in g2.bnodes():
-        # Distance against an absent bnode is the size of the present side.
-        left = len(incident_triples(g1, b1)) if b1 in g1.bnodes() else 0
-        right = len(incident_triples(g2, b2)) if b2 in g2.bnodes() else 0
-        return left + right
-    m = {k: v for k, v in _as_dict(mapping).items() if k != b1}
-    return ctx.dist(b1, b2, m)
+    ground = _grounder(equiv or EquivalenceRelation.exact())
+    left = _incident_tokens(g1, b1, ground, _image_namer(_as_dict(mapping)))
+    right = _incident_tokens(g2, b2, ground, ntriples.render_term)
+    return len(set(left) ^ set(right))
 
 
 # -- signatures -------------------------------------------------------------
@@ -338,47 +322,41 @@ def _color_of(tokens: Iterable[str]) -> str:
 
 
 def _refine(g: Graph, ground: Callable[[Term], str],
-            prev: Optional[dict[Term, Signature]]) -> dict[Term, Signature]:
-    """One color-refinement round: the signatures that follow ``prev``.
+            prev: Optional[dict[Term, str]]) -> dict[Term, str]:
+    """One color-refinement round: each bnode's color after ``prev``.
 
-    Each neighbor bnode is named by its color in ``prev``, or by one
-    generic placeholder when there is no previous round.
+    A color digests the bnode's sorted tokens, with each neighbor bnode
+    named by its color in ``prev``, or by one generic placeholder when
+    there is no previous round.
     """
-    neighbor = _wildcard if prev is None else (lambda n: prev[n].color)
-    sigs = {}
-    for b in sorted(g.bnodes(), key=Term.sort_key):
-        tokens = tuple(sorted(_incident_tokens(g, b, ground, neighbor)))
-        sigs[b] = Signature(b, tokens, _color_of(tokens))
-    return sigs
+    neighbor = _wildcard if prev is None else prev.__getitem__
+    return {
+        b: _color_of(sorted(_incident_tokens(g, b, ground, neighbor)))
+        for b in sorted(g.bnodes(), key=Term.sort_key)
+    }
 
 
 def _stable_signatures(
     g1: Graph, g2: Graph, equiv: EquivalenceRelation
-) -> tuple[dict[Term, Signature], dict[Term, Signature]]:
-    """Refine both graphs in lockstep until the joint partition stabilizes.
+) -> tuple[dict[Term, str], dict[Term, str]]:
+    """Refine both graphs' colors in lockstep until both partitions are stable.
 
     Each round is one ``_refine`` step per graph from that graph's previous
     round, so round r costs one token pass.  Colors are content digests,
-    so the two graphs' signatures of one round are directly comparable.
+    so the two graphs' colors of one round are directly comparable.  A
+    round only splits the classes of the round before, so both partitions
+    are unchanged exactly when the total number of classes is.
     """
     ground = _grounder(equiv)
-    sig1 = sig2 = None
-    prev_partition = None
+    colors1 = colors2 = None
+    classes = 0
     for _ in range(max(1, len(g1.bnodes()) + len(g2.bnodes()))):
-        sig1, sig2 = _refine(g1, ground, sig1), _refine(g2, ground, sig2)
-        # Color strings evolve every round even once the grouping is fixed,
-        # so stability is judged on the blocks, not on the color values.
-        blocks: list[frozenset] = []
-        for sigs in (sig1, sig2):
-            by_color: dict[str, set[str]] = {}
-            for b, s in sigs.items():
-                by_color.setdefault(s.color, set()).add(b.value)
-            blocks.append(frozenset(frozenset(v) for v in by_color.values()))
-        partition = tuple(blocks)
-        if partition == prev_partition:
+        colors1, colors2 = _refine(g1, ground, colors1), _refine(g2, ground, colors2)
+        count = len(set(colors1.values())) + len(set(colors2.values()))
+        if count == classes:
             break
-        prev_partition = partition
-    return sig1, sig2
+        classes = count
+    return colors1, colors2
 
 
 # -- solver tiers -----------------------------------------------------------
@@ -388,10 +366,8 @@ def _exact_search(ctx: _PairContext) -> BnodeMapping:
     left, right = ctx.left, ctx.right
     n1, n2 = len(left), len(right)
     penalty = [ctx.penalty(b) for b in left]
-    lbm = [[ctx.lower_bound(b1, b2) for b2 in right] for b1 in left]
-    best_one = [
-        min([penalty[i]] + lbm[i]) if n2 else penalty[i] for i in range(n1)
-    ]
+    lbm = ctx.bound_matrix().tolist()
+    best_one = [min([penalty[i]] + lbm[i]) for i in range(n1)]
     suffix = [0] * (n1 + 1)
     for i in range(n1 - 1, -1, -1):
         suffix[i] = suffix[i + 1] + best_one[i]
@@ -462,14 +438,14 @@ def _assignment_tier(ctx: _PairContext) -> BnodeMapping:
 
 
 def _seed_by_signatures(ctx: _PairContext) -> dict[Term, Term]:
-    sig1, sig2 = _stable_signatures(ctx.g1, ctx.g2, ctx.equiv)
+    colors1, colors2 = _stable_signatures(ctx.g1, ctx.g2, ctx.equiv)
     by_color: dict[str, list[Term]] = {}
     for b in ctx.right:
-        by_color.setdefault(sig2[b].color, []).append(b)
+        by_color.setdefault(colors2[b], []).append(b)
     seed: dict[Term, Term] = {}
     taken: set[Term] = set()
     for b1 in ctx.left:
-        group = by_color.get(sig1[b1].color, [])
+        group = by_color.get(colors1[b1], [])
         for b2 in group:
             if b2 not in taken:
                 seed[b1] = b2
@@ -587,14 +563,16 @@ def mapping_cost(
     """Objective value of an arbitrary candidate mapping.
 
     Evaluated over the smaller bnode set, mirroring ``match_bnodes``, so
-    the result is comparable with solver costs.
+    the result is comparable with solver costs.  Every pair must map a
+    bnode of ``g1`` to a bnode of ``g2``.
     """
     pairs = _as_dict(mapping)
+    for a, b in pairs.items():
+        if a not in g1.bnodes() or b not in g2.bnodes():
+            raise ValueError(f"mapping pair ({a.value}, {b.value}) names an absent bnode")
     if len(g1.bnodes()) > len(g2.bnodes()):
-        return mapping_cost(g2, g1, {v: k for k, v in pairs.items()}, equiv)
-    ctx = _PairContext(g1, g2, equiv or EquivalenceRelation.exact())
-    pairs = {a: b for a, b in pairs.items() if a in g1.bnodes()}
-    return ctx.eval_cost(pairs)
+        g1, g2, pairs = g2, g1, {b: a for a, b in pairs.items()}
+    return _PairContext(g1, g2, equiv or EquivalenceRelation.exact()).eval_cost(pairs)
 
 
 # -- brute-force oracle ------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from bnodematch import EquivalenceRelation, Graph, Renaming, load_graph, rename_graph
 from bnodematch.generator import GenSpec, generate_pair
-from bnodematch.matcher import _grounder, _refine
+from bnodematch.matcher import _grounder, _incident_tokens, _refine, _wildcard
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -59,12 +59,20 @@ def relabeled_copy(g: Graph, seed: int = 0) -> Graph:
 
 
 def signatures(g: Graph, equiv: EquivalenceRelation | None = None, rounds: int = 1):
-    """Color-refinement signatures of ``g`` after ``rounds`` ``_refine`` steps."""
+    """Color-refinement colors of ``g``'s bnodes after ``rounds`` ``_refine`` steps."""
     ground = _grounder(equiv or EquivalenceRelation.exact())
-    sigs = None
+    colors = None
     for _ in range(rounds):
-        sigs = _refine(g, ground, sigs)
-    return sigs
+        colors = _refine(g, ground, colors)
+    return colors
+
+
+def round_tokens(g: Graph, b, equiv: EquivalenceRelation | None = None,
+                 rounds: int = 1) -> list[str]:
+    """The sorted tokens whose digest is ``b``'s color in round ``rounds``."""
+    ground = _grounder(equiv or EquivalenceRelation.exact())
+    neighbor = _wildcard if rounds == 1 else signatures(g, equiv, rounds - 1).__getitem__
+    return sorted(_incident_tokens(g, b, ground, neighbor))
 
 
 def small_pair(seed: int, bnodes: int = 4, connectivity: float = 0.0, mutations: int = 2):

@@ -390,3 +390,34 @@ def test_gen_and_bench(tmp_path, capsys):
     assert lines[0] == "instance,tier,cost,optimum_bound,wall_time_s"
     assert len(lines) == 1 + 2 * 2  # two configurations per pair
     capsys.readouterr()
+
+
+def _generated_pair(tmp_path) -> Path:
+    pair = tmp_path / "pairs" / "p1"
+    assert main(["gen", "--bnodes", "3", "--seed", "1", "-o", str(pair)]) == 0
+    return pair
+
+
+@pytest.mark.parametrize("name", ["g1.nt", "g2.nt", "truth.bm"])
+def test_bench_refuses_to_overwrite_an_input(tmp_path, capsys, name):
+    pair = _generated_pair(tmp_path)
+    before = {p.name: p.read_bytes() for p in pair.iterdir()}
+    capsys.readouterr()
+    assert main(["bench", str(tmp_path / "pairs"), "-o", str(pair / name)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: refusing to overwrite input directory")
+    assert {p.name: p.read_bytes() for p in pair.iterdir()} == before
+    assert main(["bench", str(tmp_path / "pairs")]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("line", ["M b0 zzz", "M nope m1"], ids=["image", "domain"])
+def test_bench_rejects_a_truth_pair_naming_an_absent_bnode(tmp_path, capsys, line):
+    pair = _generated_pair(tmp_path)
+    truth = pair / "truth.bm"
+    truth.write_text(truth.read_text().replace("M b0 m1", line))
+    capsys.readouterr()
+    assert main(["bench", str(tmp_path / "pairs")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: mapping pair") and line.split()[-1] in err
+    assert "Traceback" not in err

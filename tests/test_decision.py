@@ -48,7 +48,6 @@ from bnodematch.matcher import (
     _incident_tokens,
     _stable_signatures,
     _wildcard,
-    Signature,
 )
 from bnodematch.model import BNODE, bnode_components, incident_triples
 from conftest import random_relabeling, signatures, small_pair
@@ -256,20 +255,20 @@ def _reference_consistent(g_from: Graph, g_to: Graph, b: Term, assignment) -> bo
 def _reference_bijection_search(g1: Graph, g2: Graph, budget: _Budget):
     if _ground_triples(g1) != _ground_triples(g2):
         return None
-    sig1, sig2 = _stable_signatures(g1, g2, EquivalenceRelation.exact())
+    colors1, colors2 = _stable_signatures(g1, g2, EquivalenceRelation.exact())
     by_color: dict[str, list[Term]] = {}
-    for b, s in sig2.items():
-        by_color.setdefault(s.color, []).append(b)
+    for b, color in colors2.items():
+        by_color.setdefault(color, []).append(b)
     candidates = {
-        b1: sorted(by_color.get(s.color, []), key=Term.sort_key)
-        for b1, s in sig1.items()
+        b1: sorted(by_color.get(color, []), key=Term.sort_key)
+        for b1, color in colors1.items()
     }
     sizes1: dict[str, int] = {}
-    for s in sig1.values():
-        sizes1[s.color] = sizes1.get(s.color, 0) + 1
+    for color in colors1.values():
+        sizes1[color] = sizes1.get(color, 0) + 1
     sizes2: dict[str, int] = {}
-    for s in sig2.values():
-        sizes2[s.color] = sizes2.get(s.color, 0) + 1
+    for color in colors2.values():
+        sizes2[color] = sizes2.get(color, 0) + 1
     if sizes1 != sizes2:
         return None
 
@@ -353,41 +352,35 @@ def _reference_entails(g1: Graph, g2: Graph, tracker: _Budget) -> Optional[dict[
     return assignments
 
 
-def _reference_signatures(g: Graph, equiv: EquivalenceRelation, rounds: int):
-    """Round ``rounds`` computed from scratch, replaying every earlier round."""
+def _reference_rounds(g: Graph, equiv: EquivalenceRelation):
+    """The colors of every refinement round in turn, computed without ``_refine``."""
     ground = _grounder(equiv)
     colors = None
-    tokens: dict[Term, tuple[str, ...]] = {}
-    for _ in range(rounds):
+    while True:
         neighbor = _wildcard if colors is None else colors.__getitem__
-        tokens = {
-            b: tuple(sorted(_incident_tokens(g, b, ground, neighbor))) for b in g.bnodes()
+        colors = {
+            b: _color_of(sorted(_incident_tokens(g, b, ground, neighbor)))
+            for b in sorted(g.bnodes(), key=Term.sort_key)
         }
-        colors = {b: _color_of(toks) for b, toks in tokens.items()}
-    return {
-        b: Signature(b, tokens[b], colors[b])
-        for b in sorted(g.bnodes(), key=Term.sort_key)
-    }
+        yield colors
 
 
 def _reference_stable_signatures(g1: Graph, g2: Graph, equiv: EquivalenceRelation):
+    """The replaced stopping rule: stop once both graphs' blocks of bnodes repeat."""
     cap = max(1, len(g1.bnodes()) + len(g2.bnodes()))
     prev_partition = None
-    rounds = 1
-    while True:
-        sig1 = _reference_signatures(g1, equiv, rounds)
-        sig2 = _reference_signatures(g2, equiv, rounds)
+    rounds = zip(_reference_rounds(g1, equiv), _reference_rounds(g2, equiv))
+    for count, (colors1, colors2) in enumerate(rounds, start=1):
         blocks: list[frozenset] = []
-        for sigs in (sig1, sig2):
+        for colors in (colors1, colors2):
             by_color: dict[str, set[str]] = {}
-            for b, s in sigs.items():
-                by_color.setdefault(s.color, set()).add(b.value)
+            for b, color in colors.items():
+                by_color.setdefault(color, set()).add(b.value)
             blocks.append(frozenset(frozenset(v) for v in by_color.values()))
         partition = tuple(blocks)
-        if partition == prev_partition or rounds >= cap:
-            return sig1, sig2, rounds
+        if partition == prev_partition or count >= cap:
+            return colors1, colors2, count
         prev_partition = partition
-        rounds += 1
 
 
 def _cycles(lengths: list[int]) -> Graph:
@@ -475,14 +468,29 @@ class TestAgainstTheReplacedSearches:
             for n in range(4, 40, 3)
         ]
         pairs = list(itertools.permutations(fixtures, 2)) + [(p.g1, p.g2) for p in linked]
+        pairs += [(Graph(), g1), (g1, Graph()), (Graph(), Graph())]
+        # cycles, which refinement cannot split, and a list of equal items,
+        # which it splits one cell per round from each end
+        for k in range(3, 7):
+            two, one = _cycles([k, k]), _cycles([2 * k])
+            pairs += [(two, one), (one, two)]
+            pairs += [(g, rename_graph(g, random_relabeling(g, random.Random(k))))
+                      for g in (two, one)]
+        same = _collection([literal("same")] * 200)
+        pairs.append((same, rename_graph(same, random_relabeling(same, random.Random(5)))))
+        short = _collection([literal("same")] * 10)
+        pairs += [(short, same), (same, short), (Graph(), same)]
+        most_rounds = 0
         for policy in ("exact", "suffix"):
             for a, b in pairs:
                 equiv = EquivalenceRelation.for_graphs(policy, [a, b])
-                sig1, sig2 = _stable_signatures(a, b, equiv)
+                colors1, colors2 = _stable_signatures(a, b, equiv)
                 ref1, ref2, rounds = _reference_stable_signatures(a, b, equiv)
-                assert list(sig1.items()) == list(ref1.items())
-                assert list(sig2.items()) == list(ref2.items())
+                assert list(colors1.items()) == list(ref1.items())
+                assert list(colors2.items()) == list(ref2.items())
                 assert list(signatures(a, equiv, rounds).items()) == list(ref1.items())
+                most_rounds = max(most_rounds, rounds)
+        assert most_rounds > 90
 
 
 # -- long RDF collections -------------------------------------------------------
@@ -559,9 +567,9 @@ class TestLongCollections:
         g = _collection([literal("same")] * 200)
         relabelled = rename_graph(g, random_relabeling(g, random.Random(5)))
         start = time.perf_counter()
-        sig1, sig2 = _stable_signatures(g, relabelled, EquivalenceRelation.exact())
+        colors1, _ = _stable_signatures(g, relabelled, EquivalenceRelation.exact())
         witness = _bijection_search(g, relabelled, _Budget(DEFAULT_BUDGET))
         assert time.perf_counter() - start < 5
-        assert len({s.color for s in sig1.values()}) == 200
+        assert len(set(colors1.values())) == 200
         assert witness is not None
         assert rename_graph(g, Renaming(witness)) == relabelled

@@ -25,9 +25,12 @@ from bnodematch.delta import (
     SOURCE_LABELS,
     TARGET_LABELS,
     DeltaScript,
+    _fresh_label,
     format_delta,
     parse_delta,
 )
+from bnodematch.matcher import BnodeMapping, _as_dict
+from bnodematch.model import BNODE
 from bnodematch.ntriples import ParseError
 from conftest import random_relabeling, small_pair
 
@@ -235,3 +238,119 @@ class TestDeltaFile:
             parse_delta("X something .\n")
         with pytest.raises(ValueError):
             parse_delta("M only-one-label\n")
+
+
+# -- one delta builder: the replaced two-branch ``mapped_delta`` -------------
+
+
+def _reference_check_mapping(pairs, g1):
+    seen = set()
+    for src, dst in pairs.items():
+        if src.kind != BNODE or dst.kind != BNODE:
+            raise ValueError(f"mapping pair ({src!r}, {dst!r}) is not bnode-to-bnode")
+        if src not in g1.bnodes():
+            raise ValueError(f"mapping domain term {src!r} is not a bnode of the source graph")
+        if dst in seen:
+            raise ValueError(f"mapping is not injective at {dst!r}")
+        seen.add(dst)
+
+
+def _reference_mapped_delta(g1, g2, mapping, direction=TARGET_LABELS):
+    """``mapped_delta`` as it was, with its own source-labels branch."""
+    pairs = _as_dict(mapping)
+    _reference_check_mapping(pairs, g1)
+    method = mapping.method if isinstance(mapping, BnodeMapping) else ""
+    cost = mapping.cost if isinstance(mapping, BnodeMapping) else 0
+
+    used = {b.value for b in g1.bnodes() | g2.bnodes()}
+    used.update(b.value for b in pairs.values())
+    if direction == TARGET_LABELS:
+        renaming = dict(pairs)
+        for b1 in sorted(g1.bnodes() - set(pairs), key=lambda t: t.sort_key()):
+            renaming[b1] = bnode(_fresh_label(b1.value, used))
+        g1m = rename_graph(g1, Renaming(renaming))
+        additions = g2.triples - g1m.triples
+        deletions = g1m.triples - g2.triples
+        stored = renaming
+    elif direction == SOURCE_LABELS:
+        inverse = {dst: src for src, dst in pairs.items()}
+        stored = dict(pairs)
+        renaming = dict(inverse)
+        for b2 in sorted(g2.bnodes() - set(inverse), key=lambda t: t.sort_key()):
+            fresh = bnode(_fresh_label(b2.value, used))
+            renaming[b2] = fresh
+            stored[fresh] = b2
+        g2m = rename_graph(g2, Renaming(renaming))
+        additions = g2m.triples - g1.triples
+        deletions = g1.triples - g2m.triples
+    else:
+        raise ValueError(f"unknown direction: {direction!r}")
+    return DeltaScript(additions, deletions, BnodeMapping(stored, cost=cost, method=method),
+                       direction)
+
+
+def _delta_cases(count: int):
+    """Generated (g1, g2, mapping, direction) cases, valid and invalid.
+
+    Mappings are partial injections, as dicts or as ``BnodeMapping``s
+    with a cost and method; some send a bnode to an image absent from g2
+    named like a fresh ``u_`` label; some are rejected: a foreign domain
+    term, a non-bnode, a repeated image or an unknown direction.
+    """
+    rng = random.Random(15)
+    for seed in range(count):
+        flat = seed % 2
+        pair = small_pair(1500 + seed, bnodes=seed % 9 if flat else 2 + seed % 7,
+                          connectivity=0.0 if flat else 0.5, mutations=seed % 5)
+        g1, g2 = (pair.g1, pair.g2) if seed % 3 else (pair.g2, pair.g1)
+        left = sorted(g1.bnodes(), key=lambda t: t.sort_key())
+        right = sorted(g2.bnodes(), key=lambda t: t.sort_key())
+        k = rng.randint(0, min(len(left), len(right)))
+        pairs = dict(zip(rng.sample(left, k), rng.sample(right, k)))
+        kind = seed % 8
+        free = [b for b in left if b not in pairs]
+        if kind == 1 and free:
+            # an image absent from g2 that a fresh label would take
+            names = [b.value for b in left + right]
+            image = bnode("u_" + rng.choice(names))
+            if image not in g2.bnodes() and image not in pairs.values():
+                pairs[rng.choice(free)] = image
+        elif kind == 2 and rng.random() < 0.5:
+            pairs[bnode("zz_foreign")] = bnode("zz_image")
+        elif kind == 3 and pairs:
+            src = next(iter(pairs))
+            pairs[src] = iri("http://example.org/not-a-bnode")
+        elif kind == 4 and pairs and free:
+            pairs[rng.choice(free)] = next(iter(pairs.values()))
+        mapping = pairs
+        if not pairs and seed % 4 == 2:
+            mapping = None
+        elif seed % 3 == 0 and kind not in (3, 4):
+            mapping = BnodeMapping(pairs, cost=seed, method="generated")
+        direction = "sideways" if seed % 37 == 5 else rng.choice((TARGET_LABELS, SOURCE_LABELS))
+        yield g1, g2, mapping, direction
+
+
+def _outcome(build, g1, g2, mapping, direction):
+    try:
+        script = build(g1, g2, mapping, direction)
+    except ValueError:
+        return "rejected"
+    return (format_delta(script), script.direction, script.mapping_used.cost,
+            script.mapping_used.method)
+
+
+def test_one_builder_matches_the_replaced_two_branch_builder():
+    rejected = collisions = 0
+    directions = {TARGET_LABELS: 0, SOURCE_LABELS: 0}
+    for g1, g2, mapping, direction in _delta_cases(400):
+        new = _outcome(mapped_delta, g1, g2, mapping, direction)
+        assert new == _outcome(_reference_mapped_delta, g1, g2, mapping, direction)
+        if new == "rejected":
+            rejected += 1
+            continue
+        directions[direction] += 1
+        images = _as_dict(mapping).values()
+        collisions += any(b not in g2.bnodes() and b.value.startswith("u_") for b in images)
+    assert rejected >= 60 and collisions >= 20
+    assert min(directions.values()) >= 120

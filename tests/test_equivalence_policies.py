@@ -103,6 +103,14 @@ class TestRepresentative:
         rep = reps.pop()
         assert r.representative(rep) == rep
 
+    def test_an_unregistered_iri_joins_its_suffix_group(self):
+        registered = iri("http://long.example.org/Name")
+        unregistered = iri("http://x/name")  # shorter, but not in the universe
+        r = EquivalenceRelation.suffix([registered])
+        assert _same(r, registered, unregistered)
+        assert r.representative(unregistered) == registered
+        assert r.representative(r.representative(unregistered)) == registered
+
     def test_sameas_groups_through_common_resource(self):
         # resources connected through a shared hub form one class
         hub, a, b = iri("http://h"), iri("http://aaaa"), iri("http://bbbb")

@@ -32,11 +32,13 @@ from bnodematch.matcher import (
     _incident_tokens,
     _move_gain,
     _oracle_dist,
+    _color_of,
     _PairContext,
+    _wildcard,
     format_mapping,
     parse_mapping,
 )
-from conftest import random_relabeling, signatures, small_pair
+from conftest import random_relabeling, round_tokens, signatures, small_pair
 
 
 class TestPairDistance:
@@ -87,29 +89,26 @@ class TestPairDistance:
 
 class TestSignatures:
     def test_matching_bnodes_share_a_signature(self, g1, g2):
-        s1 = signatures(g1)[bnode("1")]
-        s2 = signatures(g2)[bnode("2")]
-        assert s1.tokens == s2.tokens
-        assert s1.color == s2.color
+        assert round_tokens(g1, bnode("1")) == round_tokens(g2, bnode("2"))
+        assert signatures(g1)[bnode("1")] == signatures(g2)[bnode("2")]
+        assert signatures(g1)[bnode("1")] == _color_of(round_tokens(g1, bnode("1")))
 
     def test_token_count_equals_degree(self, g4):
-        sigs = signatures(g4)
-        assert len(sigs[bnode("4")].tokens) == 5
-        assert len(sigs[bnode("5")].tokens) == 3
+        assert len(round_tokens(g4, bnode("4"))) == 5
+        assert len(round_tokens(g4, bnode("5"))) == 3
 
     def test_different_predicates_give_different_signatures(self):
         p, q, u = iri("http://p"), iri("http://q"), iri("http://u")
         g = Graph([Triple(bnode("a"), p, u), Triple(bnode("b"), q, u)])
-        sigs = signatures(g)
-        assert sigs[bnode("a")].tokens != sigs[bnode("b")].tokens
+        assert round_tokens(g, bnode("a")) != round_tokens(g, bnode("b"))
+        assert signatures(g)[bnode("a")] != signatures(g)[bnode("b")]
 
     def test_connected_pair_changes_between_rounds(self, g4):
-        round1 = signatures(g4, rounds=1)
-        round2 = signatures(g4, rounds=2)
         # recomputed by hand: round 1 sees the neighbor as a placeholder,
         # round 2 sees its color, so the tokens must differ
-        assert round1[bnode("4")].tokens != round2[bnode("4")].tokens
-        assert round1[bnode("5")].tokens != round2[bnode("5")].tokens
+        for b in (bnode("4"), bnode("5")):
+            assert round_tokens(g4, b, rounds=1) != round_tokens(g4, b, rounds=2)
+            assert signatures(g4, rounds=2)[b] == _color_of(round_tokens(g4, b, rounds=2))
 
 
 class TestSolver:
@@ -435,25 +434,23 @@ class TestPredicateEquivalence:
             if len(pair.g1.bnodes()) > len(moved.bnodes()):
                 continue
             ctx = _PairContext(pair.g1, moved, equiv)
+            bounds = ctx.bound_matrix()
             rng = random.Random(seed)
             k = rng.randint(0, len(ctx.left))
             m = dict(zip(rng.sample(ctx.left, k), rng.sample(ctx.right, k)))
-            for b1 in ctx.left:
-                for b2 in ctx.right:
+            for i, b1 in enumerate(ctx.left):
+                for j, b2 in enumerate(ctx.right):
                     d = ctx.dist(b1, b2, m)
-                    assert ctx.lower_bound(b1, b2) <= d, f"seed {seed}"
+                    assert bounds[i, j] <= d, f"seed {seed}"
                     assert d == _oracle_dist(pair.g1, moved, b1, b2, m, equiv), f"seed {seed}"
+                    assert d == pair_distance(pair.g1, moved, b1, b2, m, equiv), f"seed {seed}"
 
     def test_signatures_see_equivalent_predicates_as_one(self):
         pair = small_pair(5, bnodes=6, connectivity=0.5, mutations=0)
         moved = _all_iris_moved(pair.g1)
         equiv = EquivalenceRelation.for_graphs("suffix", [pair.g1, moved])
         for rounds in (1, 2, 3):
-            before = signatures(pair.g1, equiv, rounds)
-            after = signatures(moved, equiv, rounds)
-            assert {b: s.color for b, s in before.items()} == {
-                b: s.color for b, s in after.items()
-            }
+            assert signatures(pair.g1, equiv, rounds) == signatures(moved, equiv, rounds)
 
 
 # -- one gain rule -----------------------------------------------------------
@@ -487,3 +484,63 @@ def test_move_gain_equals_the_change_of_the_full_objective():
                 checked += 1
                 m = new_m
     assert checked == 10 * 4 * 25
+
+
+# -- one distance kernel: the bound matrix replaced a per-cell bound ---------
+
+
+def _reference_lower_bound(ctx: _PairContext, b1, b2) -> int:
+    """The replaced ``_PairContext.lower_bound``: one cell, neighbor slots wildcarded."""
+    lw = frozenset(_incident_tokens(ctx.g1, b1, ctx._ground, _wildcard))
+    rw = frozenset(_incident_tokens(ctx.g2, b2, ctx._ground, _wildcard))
+    return len(lw ^ rw)
+
+
+def _criterion_5_pairs():
+    """The generated pairs of acceptance criterion 5, in its plan order."""
+    unconnected = [1, 2, 3, 4, 5] * 47 + [6] * 10 + [7] * 5
+    connected = [2, 3, 4, 5] * 60 + [6] * 7 + [7] * 3
+    plans = [(size, 0.0, i % 6, 20_000 + i) for i, size in enumerate(unconnected)]
+    plans += [(size, 0.5, i % 6, 30_000 + i) for i, size in enumerate(connected)]
+    for size, connectivity, mutations, seed in plans:
+        pair = generate_pair(GenSpec(bnode_count=size, ground_triples=4,
+                                     connectivity=connectivity, mutation_ops=mutations,
+                                     seed=seed))
+        yield pair.g1, pair.g2, EquivalenceRelation.exact()
+
+
+def test_bound_matrix_equals_the_replaced_per_cell_bound(g1):
+    cases = list(_criterion_5_pairs())
+    cases += [(pair.g1, moved, equiv) for _, pair, moved, equiv in _moved_cases(28)]
+    cases += [(Graph(), g1, EquivalenceRelation.exact()),
+              (g1, Graph(), EquivalenceRelation.exact())]
+    empty_sides = 0
+    for a, b, equiv in cases:
+        for g_left, g_right in ((a, b), (b, a)):
+            ctx = _PairContext(g_left, g_right, equiv)
+            bounds = ctx.bound_matrix()
+            assert bounds.shape == (len(ctx.left), len(ctx.right))
+            assert bounds.tolist() == [
+                [_reference_lower_bound(ctx, b1, b2) for b2 in ctx.right] for b1 in ctx.left
+            ]
+            empty_sides += not ctx.left or not ctx.right
+    assert len(cases) == 530 and empty_sides >= 4
+
+
+def test_pair_distance_to_an_absent_bnode_is_the_other_side_alone(g2, g3):
+    absent = bnode("absent")
+    assert pair_distance(g2, g3, absent, bnode("3")) == 5
+    assert pair_distance(g2, g3, bnode("2"), absent) == 5
+    assert pair_distance(g2, g3, absent, absent) == 0
+
+
+# -- mapping_cost checks its pairs ----------------------------------------------
+
+
+@pytest.mark.parametrize("pair", [("1", "nope"), ("nope", "2")], ids=["image", "domain"])
+def test_mapping_cost_rejects_a_bnode_its_graph_lacks(g1, g2, pair):
+    mapping = {bnode(pair[0]): bnode(pair[1])}
+    for a, b, m in ((g1, g2, mapping), (g2, g1, {y: x for x, y in mapping.items()})):
+        with pytest.raises(ValueError, match="nope"):
+            mapping_cost(a, b, m)
+    assert mapping_cost(g1, g2, {bnode("1"): bnode("2")}) == 0
