@@ -57,6 +57,13 @@ def _read_graph(path: str) -> Graph:
     return ntriples.load_graph(path)
 
 
+def _stdin_once(paths: list[str]) -> list[str]:
+    """``paths``, refused when ``-`` (stdin) names more than one of them."""
+    if paths.count("-") > 1:
+        raise UsageError("stdin ('-') can be read only once; name it for one input only")
+    return paths
+
+
 def _write_text(path: Optional[str], text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -96,7 +103,7 @@ def _parse_equiv(arg: str) -> tuple[str, list]:
 
 
 def cmd_diff(args) -> int:
-    g1, g2 = _read_graph(args.graph1), _read_graph(args.graph2)
+    g1, g2 = map(_read_graph, _stdin_once([args.graph1, args.graph2]))
     _guard_output(args.output, [args.graph1, args.graph2])
     if args.plain:
         script = plain_delta(g1, g2)
@@ -112,6 +119,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_patch(args) -> int:
+    _stdin_once([args.graph, args.delta])
     g = _read_graph(args.graph)
     _guard_output(args.output, [args.graph, args.delta])
     if args.delta == "-":
@@ -126,7 +134,7 @@ def cmd_patch(args) -> int:
 
 
 def cmd_match(args) -> int:
-    g1, g2 = _read_graph(args.graph1), _read_graph(args.graph2)
+    g1, g2 = map(_read_graph, _stdin_once([args.graph1, args.graph2]))
     _guard_output(args.output, [args.graph1, args.graph2])
     policy, pairs = _parse_equiv(args.equiv)
     equiv = EquivalenceRelation.for_graphs(policy, [g1, g2], pairs)
@@ -136,7 +144,7 @@ def cmd_match(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    g1, g2 = _read_graph(args.graph1), _read_graph(args.graph2)
+    g1, g2 = map(_read_graph, _stdin_once([args.graph1, args.graph2]))
     witness = find_equivalence_bijection(g1, g2)
     if witness is None:
         print("not equivalent", file=sys.stderr)
@@ -147,7 +155,7 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_entail(args) -> int:
-    g1, g2 = _read_graph(args.graph1), _read_graph(args.graph2)
+    g1, g2 = map(_read_graph, _stdin_once([args.graph1, args.graph2]))
     witness = entails(g1, g2)
     if witness is None:
         print("no entailment", file=sys.stderr)
@@ -158,7 +166,7 @@ def cmd_entail(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    graphs = [_read_graph(p) for p in args.graphs]
+    graphs = [_read_graph(p) for p in _stdin_once(args.graphs)]
     _guard_output(args.output, args.graphs)
     policy, pairs = _parse_equiv(args.equiv)
     accept = majority_accept

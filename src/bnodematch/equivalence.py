@@ -2,9 +2,10 @@
 
 Three policies: exact string equality, canonical-suffix equality, and a
 sameAs closure built from externally supplied pairs.  The relation is
-constructed once and then queried concurrently; the representative of
-each group is its registered member with the shortest rendered form (ties
-broken lexicographically).
+constructed once, as one frozen table of representatives, and then
+queried concurrently.  The representative of each group is its member
+with the shortest rendered form (ties broken lexicographically), chosen
+from the registered terms and, under sameAs, the terms of the pairs.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import ntriples
-from .model import BNODE, IRI, Graph, Term
+from .model import BNODE, IRI, Graph, Term, _least_members
 
 OWL_SAMEAS = "http://www.w3.org/2002/07/owl#sameAs"
 
@@ -41,6 +42,8 @@ class EquivalenceRelation:
     ``terms`` universe (usually the terms of the graphs under comparison)
     determines which group members a representative is chosen from.  Two
     terms are equivalent iff :meth:`representative` maps them to one term.
+    ``__init__`` builds one frozen table of representatives that every
+    query reads.
     """
 
     def __init__(self, policy: str, terms: Iterable[Term] = (),
@@ -48,17 +51,16 @@ class EquivalenceRelation:
         if policy not in (EXACT, SUFFIX, SAMEAS):
             raise ValueError(f"unknown policy: {policy!r}")
         self.policy = policy
-        self._parent: dict[Term, Term] = {}
-        self._suffix_groups: dict[str, list[Term]] = {}
         self._reps: dict[Term, Term] = {}
+        self._by_suffix: dict[str, Term] = {}
         if policy == SAMEAS:
-            for a, b in pairs:
-                self._check_term(a)
-                self._check_term(b)
-                self._union(a, b)
-        for t in terms:
-            self._register(t)
-        self._freeze_representatives()
+            pairs = list(pairs)
+            for t in (t for pair in pairs for t in pair):
+                self._check_term(t)
+            self._reps = _least_members(pairs, _rep_key, (t for t in terms if t.kind != BNODE))
+        elif policy == SUFFIX:
+            for t in sorted({t for t in terms if t.kind == IRI}, key=_rep_key):
+                self._reps[t] = self._by_suffix.setdefault(canonical_suffix(t.value), t)
 
     # -- construction -----------------------------------------------------
 
@@ -87,44 +89,6 @@ class EquivalenceRelation:
         if t.kind == BNODE:
             raise ValueError(f"bnode {t!r} has no URI equivalence; match it instead")
 
-    def _find(self, t: Term) -> Term:
-        root = t
-        while self._parent.get(root, root) != root:
-            root = self._parent[root]
-        while self._parent.get(t, t) != root:
-            self._parent[t], t = root, self._parent[t]
-        return root
-
-    def _union(self, a: Term, b: Term) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra != rb:
-            lo, hi = sorted((ra, rb), key=_rep_key)
-            self._parent[hi] = lo
-            self._parent.setdefault(lo, lo)
-
-    def _register(self, t: Term) -> None:
-        if t.kind == BNODE:
-            return
-        if self.policy == SUFFIX and t.kind == IRI:
-            self._suffix_groups.setdefault(canonical_suffix(t.value), []).append(t)
-        elif self.policy == SAMEAS:
-            self._parent.setdefault(t, t)
-
-    def _freeze_representatives(self) -> None:
-        if self.policy == SUFFIX:
-            for members in self._suffix_groups.values():
-                rep = min(members, key=_rep_key)
-                for m in members:
-                    self._reps[m] = rep
-        elif self.policy == SAMEAS:
-            groups: dict[Term, list[Term]] = {}
-            for t in self._parent:
-                groups.setdefault(self._find(t), []).append(t)
-            for members in groups.values():
-                rep = min(members, key=_rep_key)
-                for m in members:
-                    self._reps[m] = rep
-
     # -- queries -----------------------------------------------------------
 
     def representative(self, a: Term) -> Term:
@@ -132,13 +96,9 @@ class EquivalenceRelation:
         IRI joins the suffix group it falls in, so it never splits one."""
         self._check_term(a)
         rep = self._reps.get(a)
-        if rep is not None:
-            return rep
-        if self.policy == SUFFIX and a.kind == IRI:
-            group = self._suffix_groups.get(canonical_suffix(a.value))
-            if group:
-                return self._reps[group[0]]
-        return a
+        if rep is None and self.policy == SUFFIX and a.kind == IRI:
+            rep = self._by_suffix.get(canonical_suffix(a.value))
+        return a if rep is None else rep
 
 
 def load_sameas_pairs(path: str) -> list[tuple[Term, Term]]:

@@ -15,7 +15,7 @@ computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .equivalence import OWL_SAMEAS, EquivalenceRelation
@@ -25,6 +25,7 @@ from .model import (
     Renaming,
     Term,
     Triple,
+    _least_members,
     bnode,
     incident_triples,
     iri,
@@ -49,7 +50,6 @@ class IntegrationResult:
     bnode_links: set[tuple[Term, Term]]
     uri_links: set[tuple[Term, Term]]
     report: dict[str, dict[str, int]]
-    candidates: list[CandidateLink] = field(default_factory=list)
 
 
 def majority_accept(left: Term, right: Term, dist: int,
@@ -117,14 +117,11 @@ def integrate_all(
     content = prefixed[0]
     bnode_links: set[tuple[Term, Term]] = set()
     uri_links: set[tuple[Term, Term]] = set()
-    all_candidates: list[CandidateLink] = []
 
     for new in prefixed[1:]:
         equiv = EquivalenceRelation.for_graphs(policy, [content, new], sameas_pairs)
         uri_links |= _cross_uri_links(content.uris(), new.uris(), equiv)
-        candidates = _match_step(content, new, equiv)
-        all_candidates.extend(candidates)
-        for cand in candidates:
+        for cand in _match_step(content, new, equiv):
             if accept(cand.left, cand.right, cand.dist, cand.left_size, cand.right_size):
                 bnode_links.add((cand.left, cand.right))
         content = Graph(content.triples | new.triples, "integrated")
@@ -151,24 +148,10 @@ def integrate_all(
         }
         for tag, bag in source_bnodes.items()
     }
-    return IntegrationResult(merged, bnode_links, uri_links, report, all_candidates)
+    return IntegrationResult(merged, bnode_links, uri_links, report)
 
 
 def _unifying_renaming(links: set[tuple[Term, Term]]) -> Renaming:
     """Collapse each linked group to its shortest label."""
-    parent: dict[Term, Term] = {}
-
-    def find(x: Term) -> Term:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in sorted(links, key=lambda p: (p[0].value, p[1].value)):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            keep, drop = sorted((ra, rb), key=lambda t: (len(t.value), t.value))
-            parent[drop] = keep
-    return Renaming({t: find(t) for t in parent if find(t) != t})
-
+    least = _least_members(links, lambda t: (len(t.value), t.value))
+    return Renaming({t: rep for t, rep in least.items() if rep != t})

@@ -564,9 +564,9 @@ def mapping_cost(
 
     Evaluated over the smaller bnode set, mirroring ``match_bnodes``, so
     the result is comparable with solver costs.  Every pair must map a
-    bnode of ``g1`` to a bnode of ``g2``.
+    bnode of ``g1`` to a bnode of ``g2``, and no two pairs may share an image.
     """
-    pairs = _as_dict(mapping)
+    pairs = BnodeMapping(_as_dict(mapping)).pairs
     for a, b in pairs.items():
         if a not in g1.bnodes() or b not in g2.bnodes():
             raise ValueError(f"mapping pair ({a.value}, {b.value}) names an absent bnode")

@@ -9,7 +9,7 @@ concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 IRI = "iri"
 BNODE = "bnode"
@@ -219,37 +219,46 @@ def incident_triples(g: Graph, b: Term) -> frozenset[Triple]:
     return g._incident.get(b, frozenset())
 
 
-def bnode_components(g: Graph) -> list[frozenset[Term]]:
-    """Partition the bnodes into directly-connected components.
+def _least_members(pairs: Iterable[tuple[Term, Term]], key: Callable[[Term], Any],
+                   members: Iterable[Term] = ()) -> dict[Term, Term]:
+    """Map each of ``members`` and each term of a pair to the least member,
+    by ``key``, of its class under the closure of ``pairs``.
 
-    Two bnodes are directly connected when one triple carries both as
-    subject and object; components are the transitive closure of that
-    relation.  A component of size >= 2 makes the graph a connected-bnode
-    graph.
+    The larger root always hangs under the smaller, so each root is its
+    class minimum and the result does not depend on the order of the pairs.
     """
-    parent: dict[Term, Term] = {b: b for b in g.bnodes()}
+    parent: dict[Term, Term] = {m: m for m in members}
 
     def find(x: Term) -> Term:
-        root = x
+        root = parent.setdefault(x, x)
         while parent[root] != root:
             root = parent[root]
         while parent[x] != root:  # path compression
             parent[x], x = root, parent[x]
         return root
 
-    for t in g:
-        if t.s.kind == BNODE and t.o.kind == BNODE:
-            ra, rb = find(t.s), find(t.o)
-            if ra != rb:
-                parent[max(ra, rb, key=Term.sort_key)] = min(ra, rb, key=Term.sort_key)
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            lo, hi = sorted((ra, rb), key=key)
+            parent[hi] = lo
+    return {t: find(t) for t in parent}
 
+
+def bnode_components(g: Graph) -> list[frozenset[Term]]:
+    """Partition the bnodes into directly-connected components.
+
+    Two bnodes are directly connected when one triple carries both as
+    subject and object; components are the transitive closure of that
+    relation.  A component of size >= 2 makes the graph a connected-bnode
+    graph.  Components come in the order of their least bnode by
+    ``Term.sort_key``.
+    """
+    links = ((t.s, t.o) for t in g if t.s.kind == BNODE and t.o.kind == BNODE)
     groups: dict[Term, set[Term]] = {}
-    for b in g.bnodes():
-        groups.setdefault(find(b), set()).add(b)
-    return sorted(
-        (frozenset(members) for members in groups.values()),
-        key=lambda c: min(t.sort_key() for t in c),
-    )
+    for b, least in _least_members(links, Term.sort_key, g.bnodes()).items():
+        groups.setdefault(least, set()).add(b)
+    return [frozenset(groups[least]) for least in sorted(groups, key=Term.sort_key)]
 
 
 def has_connected_bnodes(g: Graph) -> bool:

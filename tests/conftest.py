@@ -6,10 +6,17 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from bnodematch import EquivalenceRelation, Graph, Renaming, load_graph, rename_graph
 from bnodematch.generator import GenSpec, generate_pair
 from bnodematch.matcher import _grounder, _incident_tokens, _refine, _wildcard
+
+# Every run draws the same examples and replays no saved failures, so a
+# tier-1 run passes or fails the same way each time.  Each test's own
+# settings (``max_examples`` included) still apply on top of this profile.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -421,3 +421,26 @@ def test_bench_rejects_a_truth_pair_naming_an_absent_bnode(tmp_path, capsys, lin
     err = capsys.readouterr().err
     assert err.startswith("error: mapping pair") and line.split()[-1] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff", "-", "-"],
+        ["patch", "-", "-"],
+        ["match", "-", "-"],
+        ["equiv", "-", "-"],
+        ["entail", "-", "-"],
+        ["integrate", "-", "-"],
+        ["integrate", G1, "-", G2, "-"],
+    ],
+    ids=["diff", "patch", "match", "equiv", "entail", "integrate", "integrate-of-four"],
+)
+def test_stdin_named_for_two_inputs_is_a_usage_error(capsys, monkeypatch, argv):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO('_:x <http://x/p> "v" .\n'))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stdin ('-') can be read only once; name it for one input only\n"

@@ -544,3 +544,13 @@ def test_mapping_cost_rejects_a_bnode_its_graph_lacks(g1, g2, pair):
         with pytest.raises(ValueError, match="nope"):
             mapping_cost(a, b, m)
     assert mapping_cost(g1, g2, {bnode("1"): bnode("2")}) == 0
+
+
+def test_mapping_cost_rejects_a_non_injective_mapping():
+    a, b, x = bnode("a"), bnode("b"), bnode("x")
+    g1 = Graph([Triple(a, iri("http://x/p"), literal("1")),
+                Triple(b, iri("http://x/q"), literal("2"))])
+    g2 = Graph([Triple(x, iri("http://x/p"), literal("1"))])
+    with pytest.raises(ValueError, match="bnode mapping must be injective"):
+        mapping_cost(g1, g2, {a: x, b: x})
+    assert mapping_cost(g1, g2, {a: x}) == 1
