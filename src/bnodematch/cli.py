@@ -166,7 +166,9 @@ def cmd_entail(args) -> int:
 
 
 def cmd_integrate(args) -> int:
-    graphs = [_read_graph(p) for p in _stdin_once(args.graphs)]
+    # --review reads its answers from stdin, so it counts as one more stdin input
+    _stdin_once(args.graphs + ["-"] * args.review)
+    graphs = [_read_graph(p) for p in args.graphs]
     _guard_output(args.output, args.graphs)
     policy, pairs = _parse_equiv(args.equiv)
     accept = majority_accept

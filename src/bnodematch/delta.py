@@ -5,6 +5,9 @@ bnodes keep their own labels; the old graph is renamed into them before
 differencing) or of the source graph (incoming bnodes are renamed into the
 old labels, which is what a version store wants).  Scripts embed the
 injection they were computed with, so a patch file is self-contained.
+The version store's deltas are the exception: a source-labels script
+applies to the store's head as it stands, so the store saves it without
+the injection.
 """
 
 from __future__ import annotations
@@ -213,9 +216,12 @@ def parse_delta(text: str) -> DeltaScript:
     )
 
 
-def save_delta(script: DeltaScript, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_delta(script))
+def save_delta(script: DeltaScript, path: str) -> bytes:
+    """Write the script as a ``.rdfd`` file; returns the bytes written."""
+    data = format_delta(script).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return data
 
 
 def load_delta(path: str) -> DeltaScript:

@@ -135,9 +135,14 @@ def parse_ntriples(source: Union[str, IO[str], Iterable[str]], graph_id: str = "
     if isinstance(source, str):
         # split on newlines only: other vertical whitespace may occur
         # unescaped inside literals
-        lines: Iterable[str] = source.split("\n")
-    else:
-        lines = source
+        source = source.split("\n")
+    triples, warnings, line_count = _parse_lines(source)
+    graph = Graph(triples, graph_id)
+    return ParseReport(graph, line_count, {b.value for b in graph.bnodes()}, warnings)
+
+
+def _parse_lines(lines: Iterable[str]) -> tuple[set[Triple], list[tuple[int, str]], int]:
+    """The triples of N-Triples lines, the duplicate warnings and the line count."""
     triples: set[Triple] = set()
     warnings: list[tuple[int, str]] = []
     line_count = 0
@@ -151,8 +156,7 @@ def parse_ntriples(source: Union[str, IO[str], Iterable[str]], graph_id: str = "
         if t in triples:
             warnings.append((line_no, f"duplicate triple: {render_triple(t)}"))
         triples.add(t)
-    graph = Graph(triples, graph_id)
-    return ParseReport(graph, line_count, {b.value for b in graph.bnodes()}, warnings)
+    return triples, warnings, line_count
 
 
 def serialize_ntriples(g: Graph) -> str:

@@ -3,7 +3,7 @@
 Repository layout::
 
     repo/
-      base.nt        first committed version
+      base.nt        first committed version (N-Triples)
       0001.rdfd      delta from version 1 to version 2 (source labels)
       0002.rdfd      ...
       manifest.txt   version count and content hashes
@@ -11,8 +11,18 @@ Repository layout::
 Deltas are stored in the repository's own label scope: each commit matches
 the incoming graph against the reconstructed head and renames incoming
 bnodes into the store's labels, so label identity persists across
-versions.  Sync patches go the other way, in the client-friendly scope.
-One writer at a time (advisory lock file); readers are unrestricted.
+versions.  A stored delta therefore applies to the previous version as it
+stands and holds only its ``D`` and ``A`` lines, not the matching.  Delta
+files that also carry ``M`` lines, as the store once wrote them, are still
+read; the lines are ignored.  Sync patches go the other way, in the
+client-friendly scope.
+
+Opening a store reads every file the manifest lists once and checks it
+against its hash; checkouts replay that verified content, not a second read
+from disk.  One writer at a time (advisory lock file): a commit re-reads
+the manifest under the lock, so it appends to the newest version even when
+another writer committed after this store was opened.  Readers are
+unrestricted.
 """
 
 from __future__ import annotations
@@ -22,14 +32,15 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Sequence
 
 from . import ntriples
 from .delta import (
     SOURCE_LABELS,
     TARGET_LABELS,
     DeltaScript,
-    load_delta,
     mapped_delta,
+    parse_delta,
     save_delta,
 )
 from .matcher import match_bnodes
@@ -44,8 +55,8 @@ class StoreError(RuntimeError):
     """Repository-level failure, reported with the repository path."""
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _delta_name(i: int) -> str:
@@ -57,18 +68,26 @@ def _file_names(version_count: int) -> list[str]:
     return [BASE_FILE] + [_delta_name(i) for i in range(1, version_count)]
 
 
-def _write_manifest(root: Path, version_count: int) -> None:
-    """Replace the manifest atomically: readers see the old one or the new one."""
-    lines = [f"versions {version_count}"]
-    lines.extend(f"{name} {_sha256(root / name)}" for name in _file_names(version_count))
+def _write_manifest(root: Path, version_count: int, hashes: Sequence[str] = ()) -> str:
+    """Replace the manifest atomically: readers see the old one or the new one.
+
+    ``hashes`` are those of the first files, known to the caller; the files
+    past them are hashed from disk.  Returns the manifest text written.
+    """
+    names = _file_names(version_count)
+    digests = list(hashes) + [_sha256((root / name).read_bytes()) for name in names[len(hashes):]]
+    text = f"versions {version_count}\n" + "".join(
+        f"{name} {digest}\n" for name, digest in zip(names, digests)
+    )
     fd, name = tempfile.mkstemp(dir=root, prefix=f".{MANIFEST_FILE}.", suffix=".tmp")
     os.close(fd)
     tmp = Path(name)
     try:
-        tmp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, root / MANIFEST_FILE)
     finally:
         tmp.unlink(missing_ok=True)
+    return text
 
 
 def _holder_is_gone(lock: Path) -> bool:
@@ -89,7 +108,9 @@ class VersionStore:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._version_count = 0
+        self._manifest = ""
+        self._hashes: list[str] = []
+        self._texts: list[str] = []  # verified content of base.nt, 0001.rdfd, ...
         self._read_manifest()
 
     # -- creation / loading -------------------------------------------------
@@ -104,14 +125,21 @@ class VersionStore:
         _write_manifest(root, 1)
         return cls(root)
 
+    def _manifest_text(self) -> str:
+        try:
+            return (self.path / MANIFEST_FILE).read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise StoreError(f"{self.path}: not a repository (no {MANIFEST_FILE})") from None
+        except UnicodeDecodeError:
+            raise StoreError(f"{self.path}: corrupt manifest") from None
+
     def _read_manifest(self) -> None:
-        manifest = self.path / MANIFEST_FILE
-        if not manifest.exists():
-            raise StoreError(f"{self.path}: not a repository (no {MANIFEST_FILE})")
+        """Load the manifest and the verified text of every file it lists."""
+        manifest = self._manifest_text()
         corrupt = StoreError(f"{self.path}: corrupt manifest")
         count = None
         entries: list[tuple[str, str]] = []
-        for line in manifest.read_text(encoding="utf-8").splitlines():
+        for line in manifest.splitlines():
             parts = line.split()
             if not parts:
                 continue
@@ -125,13 +153,23 @@ class VersionStore:
         # disagrees with the entries builds no name list.
         if count != len(entries) or [name for name, _ in entries] != _file_names(count):
             raise corrupt
+        texts = []
         for name, expected in entries:
-            target = self.path / name
-            if not target.exists():
-                raise StoreError(f"{self.path}: missing file {name}")
-            if _sha256(target) != expected:
+            try:
+                data = (self.path / name).read_bytes()
+            except FileNotFoundError:
+                raise StoreError(f"{self.path}: missing file {name}") from None
+            if _sha256(data) != expected:
                 raise StoreError(f"{self.path}: content hash mismatch for {name}")
-        self._version_count = count
+            try:
+                texts.append(data.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise StoreError(
+                    f"{self.path}: {name} is not UTF-8 ({exc.reason} at byte {exc.start})"
+                ) from None
+        self._manifest = manifest
+        self._hashes = [expected for _, expected in entries]
+        self._texts = texts
 
     @contextmanager
     def _write_lock(self):
@@ -156,49 +194,51 @@ class VersionStore:
 
     @property
     def version_count(self) -> int:
-        return self._version_count
+        return len(self._texts)
 
     def checkout(self, i: int) -> Graph:
-        """Reconstruct version ``i`` (1-based) from base plus deltas."""
-        if not 1 <= i <= self._version_count:
+        """Reconstruct version ``i`` (1-based) from the verified base and deltas."""
+        if not 1 <= i <= self.version_count:
             raise ValueError(
-                f"version {i} out of range 1..{self._version_count}"
+                f"version {i} out of range 1..{self.version_count}"
             )
         # Store deltas are source-labels scripts, which apply without
         # renaming, so the replay runs on triple sets and builds one Graph.
-        try:
-            triples = ntriples.load_graph(str(self.path / BASE_FILE)).triples
-            for k in range(1, i):
-                name = _delta_name(k)
-                script = load_delta(str(self.path / name))
-                if script.direction != SOURCE_LABELS:
-                    raise StoreError(f"{self.path}: {name} is not a {SOURCE_LABELS} delta")
-                triples = (triples - script.deletions) | script.additions
-        except OSError as exc:
-            raise StoreError(f"{self.path}: {exc}") from exc
+        triples, _, _ = ntriples._parse_lines(self._texts[0].split("\n"))
+        for k in range(1, i):
+            script = parse_delta(self._texts[k])
+            if script.direction != SOURCE_LABELS:
+                raise StoreError(f"{self.path}: {_delta_name(k)} is not a {SOURCE_LABELS} delta")
+            triples = (triples - script.deletions) | script.additions
         return Graph(triples, f"v{i}")
 
     def stored_operation_count(self) -> int:
-        total = 0
-        for k in range(1, self._version_count):
-            total += load_delta(str(self.path / _delta_name(k))).size
-        return total
+        return sum(parse_delta(text).size for text in self._texts[1:])
 
     # -- updates ------------------------------------------------------------
 
     def commit(self, g_new: Graph) -> DeltaScript:
-        """Append the new version as a source-labels delta against head."""
+        """Append the new version as a source-labels delta against head.
+
+        Returns the script with the matching it was computed with; the
+        saved file holds only its deletions and additions.
+        """
         with self._write_lock():
-            head = self.checkout(self._version_count)
+            if self._manifest_text() != self._manifest:
+                self._read_manifest()  # another writer committed since the store was read
+            count = self.version_count
+            head = self.checkout(count)
             mapping = match_bnodes(head, g_new)
             script = mapped_delta(head, g_new, mapping, SOURCE_LABELS)
-            name = _delta_name(self._version_count)
+            stored = DeltaScript(script.additions, script.deletions, None, SOURCE_LABELS)
             try:
-                save_delta(script, str(self.path / name))
+                data = save_delta(stored, str(self.path / _delta_name(count)))
             except OSError as exc:
                 raise StoreError(f"{self.path}: {exc}") from exc
-            _write_manifest(self.path, self._version_count + 1)
-            self._version_count += 1
+            hashes = self._hashes + [_sha256(data)]
+            self._manifest = _write_manifest(self.path, count + 1, hashes)
+            self._hashes = hashes
+            self._texts.append(data.decode("utf-8"))
             return script
 
     def sync_patch(self, frm: int, to: int) -> DeltaScript:

@@ -242,6 +242,18 @@ def test_integrate_review_reads_decisions_from_stdin(tmp_path, capsys, monkeypat
     assert "bnode link" not in capsys.readouterr().err
 
 
+def test_integrate_review_refuses_a_source_on_stdin(tmp_path, capsys, monkeypatch):
+    import io
+
+    # --review reads its answers from stdin, which the source already took
+    monkeypatch.setattr("sys.stdin", io.StringIO(Path(G1).read_text()))
+    out = tmp_path / "merged.nt"
+    assert main(["integrate", "-", G2, "--equiv", "suffix", "--review", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: stdin ('-') can be read only once; name it for one input only\n"
+    assert not out.exists()
+
+
 def test_sameas_equiv_flag(tmp_path, capsys):
     pairs = tmp_path / "pairs.nt"
     pairs.write_text(
@@ -357,6 +369,22 @@ class TestVersionStoreCommands:
         captured = capsys.readouterr()
         assert captured.err == f"error: {repo}: corrupt manifest\n"
         assert "evil" not in captured.out
+
+    @pytest.mark.parametrize("verb", [["checkout", "1"], ["commit", G2]])
+    def test_a_store_file_that_is_not_utf8_is_io_error(self, tmp_path, capsys, verb):
+        from bnodematch.store import _write_manifest
+
+        repo = tmp_path / "repo"
+        assert main(["vs", "init", str(repo), G1]) == 0
+        with open(repo / "base.nt", "ab") as fh:
+            fh.write(b"# \xff\n")
+        _write_manifest(repo, 1)
+        capsys.readouterr()
+        assert main(["vs", verb[0], str(repo), *verb[1:]]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {repo}: base.nt is not UTF-8 (invalid start byte at byte "
+            f"{(repo / 'base.nt').stat().st_size - 2})\n"
+        )
 
     @pytest.mark.parametrize("name", ["base.nt", "manifest.txt", "0001.rdfd", "new.nt", "."])
     def test_output_inside_the_repository_is_refused(self, tmp_path, capsys, name):

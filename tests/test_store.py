@@ -21,7 +21,15 @@ from bnodematch import (
     rename_graph,
     reverse_delta,
 )
-from bnodematch.delta import TARGET_LABELS, DeltaScript, format_delta, load_delta
+from bnodematch.delta import (
+    SOURCE_LABELS,
+    TARGET_LABELS,
+    DeltaScript,
+    format_delta,
+    load_delta,
+    mapped_delta,
+)
+from bnodematch.matcher import match_bnodes
 from bnodematch.store import VersionStore, StoreError, _write_manifest
 from conftest import random_relabeling, small_pair
 
@@ -217,21 +225,32 @@ def _version_chain(length: int) -> list[Graph]:
     return versions
 
 
+def _delta_lines(root: Path) -> list[str]:
+    return [line for path in sorted(root.glob("*.rdfd"))
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 def test_checkout_equals_the_apply_delta_fold(tmp_path):
     versions = _version_chain(12)
     store = VersionStore.init(tmp_path / "r", versions[0])
     scripts = [store.commit(g) for g in versions[1:]]
     assert any(s.is_empty() for s in scripts)
+    # callers get the matching; the stored files hold none
+    assert all(s.mapping_used is not None for s in scripts)
+    lines = _delta_lines(tmp_path / "r")
+    assert lines and not [line for line in lines if line.startswith("M ")]
+    reopened = VersionStore(tmp_path / "r")
     folded = load_graph(str(tmp_path / "r" / "base.nt"))
     for i in range(1, store.version_count + 1):
         if i > 1:
             delta = load_delta(str(tmp_path / "r" / f"{i - 1:04d}.rdfd"))
             folded, warnings = apply_delta(folded, delta)
             assert warnings == []
-        out = store.checkout(i)
-        assert out == folded
-        assert out.graph_id == f"v{i}"
-        assert graphs_equivalent(out, versions[i - 1])
+        for reader in (store, reopened):
+            out = reader.checkout(i)
+            assert out == folded
+            assert out.graph_id == f"v{i}"
+            assert graphs_equivalent(out, versions[i - 1])
 
 
 def test_checkout_refuses_a_target_labels_delta(repo, g2):
@@ -268,3 +287,62 @@ def test_failed_manifest_write_keeps_the_previous_version(repo, g2, g3, monkeypa
     assert graphs_equivalent(reopened.checkout(2), g2)
     reopened.commit(g3)  # the unlisted delta file is overwritten
     assert graphs_equivalent(VersionStore(repo.path).checkout(3), g3)
+
+
+def test_a_commit_after_another_writer_appends_to_its_version(tmp_path, g1, g2, g3):
+    first = VersionStore.init(tmp_path / "r", g1)
+    second = VersionStore(tmp_path / "r")  # opened before the first one commits
+    first.commit(g2)
+    second.commit(g3)
+    assert second.version_count == 3
+    reopened = VersionStore(tmp_path / "r")
+    assert reopened.version_count == 3
+    assert graphs_equivalent(reopened.checkout(2), g2)
+    assert graphs_equivalent(reopened.checkout(3), g3)
+
+
+def test_a_store_whose_deltas_carry_mapping_lines_still_reads(tmp_path):
+    """Repositories written before deltas lost their ``M`` lines."""
+    versions = _version_chain(12)
+    root = tmp_path / "r"
+    VersionStore.init(root, versions[0])
+    head = versions[0]
+    for k, g in enumerate(versions[1:], start=1):
+        script = mapped_delta(head, g, match_bnodes(head, g), SOURCE_LABELS)
+        (root / f"{k:04d}.rdfd").write_text(format_delta(script), encoding="utf-8")
+        head, _ = apply_delta(head, script)
+    _write_manifest(root, len(versions))
+    assert any(line.startswith("M ") for line in _delta_lines(root))
+    store = VersionStore(root)
+    folded = load_graph(str(root / "base.nt"))
+    for i in range(1, store.version_count + 1):
+        if i > 1:
+            folded, warnings = apply_delta(folded, load_delta(str(root / f"{i - 1:04d}.rdfd")))
+            assert warnings == []
+        assert store.checkout(i) == folded
+        assert graphs_equivalent(folded, versions[i - 1])
+    store.commit(versions[3])
+    assert graphs_equivalent(VersionStore(root).checkout(len(versions) + 1), versions[3])
+
+
+def test_checkout_replays_the_content_verified_at_open(tmp_path, g1, g2, g3):
+    store = VersionStore.init(tmp_path / "r", g1)
+    store.commit(g2)
+    verified = VersionStore(tmp_path / "r")
+    intruder = VersionStore.init(tmp_path / "other", g1)
+    intruder.commit(g3)
+    (tmp_path / "r" / "0001.rdfd").write_bytes((tmp_path / "other" / "0001.rdfd").read_bytes())
+    assert graphs_equivalent(verified.checkout(2), g2)
+    with pytest.raises(StoreError, match="content hash mismatch for 0001.rdfd"):
+        VersionStore(tmp_path / "r")
+
+
+@pytest.mark.parametrize("name", ["base.nt", "0001.rdfd"])
+def test_a_store_file_that_is_not_utf8_is_a_store_error(tmp_path, g1, g2, name):
+    store = VersionStore.init(tmp_path / "r", g1)
+    store.commit(g2)
+    target = tmp_path / "r" / name
+    target.write_bytes(target.read_bytes() + b"# \xff\n")
+    _write_manifest(tmp_path / "r", 2)  # the manifest vouches for the bytes
+    with pytest.raises(StoreError, match=f"{re.escape(name)} is not UTF-8"):
+        VersionStore(tmp_path / "r")
