@@ -14,10 +14,9 @@ import functools
 import os
 import sys
 import time
-from importlib.metadata import PackageNotFoundError, version as pkg_version
 from typing import Optional
 
-from . import ntriples
+from . import __version__, ntriples
 from .decision import SearchBudgetExceeded, entails, find_equivalence_bijection
 from .delta import (
     SOURCE_LABELS,
@@ -42,13 +41,6 @@ from .matcher import (
 from .model import Graph
 from .ntriples import ParseError
 from .store import StoreError, VersionStore
-
-
-def _version() -> str:
-    try:
-        return pkg_version("bnodematch")
-    except PackageNotFoundError:  # running from a source tree
-        return "0.1.0"
 
 
 def _read_graph(path: str) -> Graph:
@@ -290,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bnodematch",
         description="Blank-node aware diff, patch, matching, and integration for RDF graphs.",
     )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {_version()}")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("diff", help="delta between two graphs")

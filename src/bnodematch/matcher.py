@@ -29,12 +29,21 @@ Every whole matrix of pair distances comes from one kernel,
 it under one fixed mapping (``_PairContext.cost_matrix``), and the exact
 search reads its bounds from it with every neighbor wildcarded
 (``_PairContext.bound_matrix``).  With L and R the token sets of a pair,
-``dist = |L △ R| = |L| + |R| − 2·|L ∩ R|``.  Tokens are interned to ints,
-and the ``|L ∩ R|`` counts come from one sparse product of token incidence
-matrices, which visits only the cells whose bnodes share a token.  Every
+``dist = |L △ R| = |L| + |R| − 2·|L ∩ R|``.  The ``|L ∩ R|`` counts come
+from a postings dict, token → the columns holding it: each row token lists
+the cells whose bnodes share it, and one unbuffered ``np.subtract.at``
+takes 2 from a cell per listing.  Only those cells are visited; every
 other cell is ``|L| + |R|``, filled by broadcasting with no Python work.
 The counts are exact integers, so the matrix equals the per-cell ``dist``
 matrix entry for entry and the assignment solver picks the same pairs.
+
+The solver is scipy's rectangular LSAP (Crouse, IEEE TAES 2016), the
+extension module ``scipy.optimize._lsap``.  It is loaded on its own, by
+file, because importing ``scipy.optimize`` for it would also load linalg,
+fft, special and every optimizer, which takes each one-shot CLI process
+many times longer than its request and doubles its memory.  The module is
+registered under its own name, so a later ``import scipy.optimize``
+re-exports this very function.
 
 ``brute_force_match`` is an independent flat enumeration used as a test
 oracle; it evaluates candidate costs through a literal rename-and-diff of
@@ -43,14 +52,17 @@ the incident sets rather than the token machinery used by the solver.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import os
+import sys
 from dataclasses import dataclass
 from hashlib import blake2b
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
+import scipy
 
 from . import ntriples
 from .equivalence import EquivalenceRelation
@@ -73,6 +85,25 @@ _UNMAPPED = "!"
 _ORACLE_LIMIT = 8
 EXACT_THRESHOLD = 7  # the most bnodes on the smaller side that the exact search takes
 _MAX_ROUNDS = 20  # the most hill-climbing rounds of the refinement tier
+
+
+def _load_lsap() -> Callable:
+    """``linear_sum_assignment`` from ``scipy.optimize._lsap`` alone."""
+    name = "scipy.optimize._lsap"
+    module = sys.modules.get(name)
+    if module is None:
+        finder = FileFinder(os.path.join(scipy.__path__[0], "optimize"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        if spec is None:
+            raise ImportError(f"{name} not found beside scipy {scipy.__version__}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.linear_sum_assignment
+
+
+linear_sum_assignment = _load_lsap()
 
 
 class InstanceTooLarge(ValueError):
@@ -264,29 +295,25 @@ def _image_namer(m: Mapping[Term, Term]) -> Callable[[Term], str]:
     return neighbor
 
 
-def _incidence(ids: list[list[int]], width: int) -> csr_matrix:
-    """0/1 matrix with one row per id list and a one in each listed column."""
-    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
-    np.cumsum([len(r) for r in ids], out=indptr[1:])
-    indices = np.fromiter(itertools.chain.from_iterable(ids), dtype=np.int64,
-                          count=int(indptr[-1]))
-    data = np.ones(len(indices), dtype=np.int64)
-    return csr_matrix((data, indices, indptr), shape=(len(ids), width))
-
-
 def _distance_matrix(rows: list[frozenset[str]], cols: list[frozenset[str]]) -> np.ndarray:
     """``|L △ R| = |L| + |R| − 2·|L ∩ R|`` for every row × column token set.
 
-    Row tokens absent from every column's set can never be shared, so they
-    count towards ``|L|`` but are not interned.
+    The postings of a row's tokens list, once per shared token, every
+    column that shares one, so a cell listed k times has ``|L ∩ R| = k``.
+    Row tokens that no column holds list nothing.
     """
-    vocab: dict[str, int] = {}
-    col_ids = [[vocab.setdefault(tok, len(vocab)) for tok in toks] for toks in cols]
-    row_ids = [[vocab[tok] for tok in toks if tok in vocab] for toks in rows]
+    postings: dict[str, list[int]] = {}
+    for j, toks in enumerate(cols):
+        for tok in toks:
+            postings.setdefault(tok, []).append(j)
+    hits = [[postings.get(tok, ()) for tok in toks] for toks in rows]
+    per_row = [sum(map(len, row_hits)) for row_hits in hits]
+    shared_cols = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(hits)),
+                              dtype=np.int64, count=sum(per_row))
+    cells = np.repeat(np.arange(len(rows), dtype=np.int64) * len(cols), per_row) + shared_cols
     matrix = (np.array([len(t) for t in rows], dtype=np.int64)[:, None]
               + np.array([len(t) for t in cols], dtype=np.int64)[None, :])
-    shared = (_incidence(row_ids, len(vocab)) @ _incidence(col_ids, len(vocab)).T).tocoo()
-    matrix[shared.row, shared.col] -= 2 * shared.data
+    np.subtract.at(matrix.reshape(-1), cells, 2)
     return matrix
 
 

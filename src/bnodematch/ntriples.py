@@ -17,8 +17,8 @@ The accepted grammar, line by line (RDF 1.1 N-Triples, with these limits):
   hold space, control characters or any of ``<>"{}|^```;
 - a blank node is ``_:`` and a BLANK_NODE_LABEL (see ``LABEL_RE``);
 - a literal is ``"..."`` with the escapes ``\t \n \r \" \\ \uXXXX
-  \UXXXXXXXX`` (code points up to U+10FFFF) and no others, followed by an
-  optional ``^^<datatype IRI>`` or ``@language-tag``.
+  \UXXXXXXXX`` (code points up to U+10FFFF, surrogates excluded) and no
+  others, followed by an optional ``^^<datatype IRI>`` or ``@language-tag``.
 """
 
 from __future__ import annotations
@@ -94,8 +94,13 @@ def render_triple(t: Triple) -> str:
     return f"{render_term(t.s)} {render_term(t.p)} {render_term(t.o)} ."
 
 
-def _unescape(m: re.Match) -> str:
-    return _ESCAPES[m[3]] if m[3] else chr(int(m[1] or m[2], 16))
+def _unescape(m: re.Match, line_no: int) -> str:
+    if m[3]:
+        return _ESCAPES[m[3]]
+    code = int(m[1] or m[2], 16)
+    if 0xD800 <= code <= 0xDFFF:
+        raise ParseError(line_no, f"escape {m[0]} names a surrogate, not a character")
+    return chr(code)
 
 
 def _term(line: str, pos: int, line_no: int, role: str) -> tuple[Term, int]:
@@ -108,7 +113,7 @@ def _term(line: str, pos: int, line_no: int, role: str) -> tuple[Term, int]:
     if label is not None:
         return bnode(label), m.end()
     if "\\" in lexical:
-        lexical = _ESCAPE_RE.sub(_unescape, lexical)
+        lexical = _ESCAPE_RE.sub(lambda esc: _unescape(esc, line_no), lexical)
     return literal(lexical, datatype, langtag), m.end()
 
 

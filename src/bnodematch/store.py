@@ -117,12 +117,20 @@ class VersionStore:
 
     @classmethod
     def init(cls, path: str | Path, base: Graph) -> "VersionStore":
+        """Create a repository; a failed write leaves no trace of it."""
         root = Path(path)
         if root.exists() and any(root.iterdir()):
             raise StoreError(f"{root}: directory exists and is not empty")
+        made_root = not root.exists()
         root.mkdir(parents=True, exist_ok=True)
-        ntriples.save_graph(base, str(root / BASE_FILE))
-        _write_manifest(root, 1)
+        try:
+            ntriples.save_graph(base, str(root / BASE_FILE))
+            _write_manifest(root, 1)
+        except BaseException:
+            (root / BASE_FILE).unlink(missing_ok=True)
+            if made_root:
+                root.rmdir()
+            raise
         return cls(root)
 
     def _manifest_text(self) -> str:

@@ -35,6 +35,14 @@ def test_version_flag(capsys):
     assert "bnodematch" in capsys.readouterr().out
 
 
+def test_version_is_the_one_in_pyproject(capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    expected = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["version"]
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"bnodematch {expected}\n"
+
+
 class TestDiffPatch:
     def test_plain_diff_counts_eleven(self, tmp_path, capsys):
         out = tmp_path / "d.rdfd"
@@ -192,6 +200,17 @@ def test_one_process_runs_verbs_as_separate_processes_do(tmp_path, capsys):
         assert main(argv) == expected.returncode, argv
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (expected.stdout, expected.stderr), argv
+
+
+@pytest.mark.parametrize("verb", ["diff", "equiv", "integrate", "vs init"])
+def test_a_surrogate_escape_is_a_parse_error(tmp_path, capsys, verb):
+    sur = tmp_path / "sur.nt"
+    sur.write_text('<http://a> <http://p> "x" .\n_:b <http://p> "\\uD800" .\n')
+    repo = tmp_path / "repo"
+    first = str(repo) if verb == "vs init" else G1
+    assert main([*verb.split(), first, str(sur)]) == 3
+    assert "line 2" in capsys.readouterr().err
+    assert not repo.exists()
 
 
 class TestDecisionCommands:

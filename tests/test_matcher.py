@@ -33,6 +33,7 @@ from bnodematch.matcher import (
     _move_gain,
     _oracle_dist,
     _color_of,
+    _distance_matrix,
     _PairContext,
     _wildcard,
     format_mapping,
@@ -358,6 +359,49 @@ class TestCostMatrix:
         ctx = _PairContext(g1, g2, EquivalenceRelation.exact())
         assert ctx.cost_matrix([], ctx.right, {}).shape == (0, len(ctx.right))
         assert ctx.cost_matrix(ctx.left, [], {}).shape == (len(ctx.left), 0)
+
+
+def _per_cell_distances(rows, cols):
+    """Reference for ``_distance_matrix``: one ``len(L ^ R)`` per cell."""
+    return np.array([[len(left ^ right) for right in cols] for left in rows],
+                    dtype=np.int64).reshape(len(rows), len(cols))
+
+
+class TestDistanceMatrix:
+    def _assert_per_cell(self, rows, cols):
+        matrix = _distance_matrix(rows, cols)
+        assert matrix.dtype == np.int64
+        np.testing.assert_array_equal(matrix, _per_cell_distances(rows, cols))
+
+    def test_empty_row_and_column_lists(self):
+        toks = [frozenset({"a", "b"})]
+        for rows, cols in (([], []), ([], toks), (toks, [])):
+            self._assert_per_cell(rows, cols)
+
+    def test_empty_token_sets(self):
+        empty, some = frozenset(), frozenset({"a", "b"})
+        self._assert_per_cell([empty, some, empty], [some, empty])
+        self._assert_per_cell([empty], [empty])
+
+    def test_row_tokens_no_column_holds(self):
+        self._assert_per_cell(
+            [frozenset({"x", "y"}), frozenset({"a", "x"}), frozenset({"z"})],
+            [frozenset({"a", "b"}), frozenset({"b"}), frozenset({"a", "c"})],
+        )
+
+    @pytest.mark.parametrize("n", [400, 1500])
+    @pytest.mark.parametrize("connectivity", [0.0, 0.3])
+    def test_cost_and_bound_matrices_of_generated_pairs(self, n, connectivity):
+        pair = generate_pair(GenSpec(n, n // 2, connectivity, n // 20, seed=7))
+        ctx = _PairContext(pair.g1, pair.g2, EquivalenceRelation.exact())
+        right = [ctx._right_tokens[b] for b in ctx.right]
+        for m in ({}, pair.truth):
+            self._assert_per_cell([ctx._left_tokens(b, m) for b in ctx.left], right)
+
+        def wild(g, bnodes):
+            return [frozenset(_incident_tokens(g, b, ctx._ground, _wildcard)) for b in bnodes]
+
+        self._assert_per_cell(wild(ctx.g1, ctx.left), wild(ctx.g2, ctx.right))
 
 
 def test_assignment_tier_agrees_with_oracle_under_suffix():

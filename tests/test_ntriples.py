@@ -81,6 +81,16 @@ def test_literal_escapes_and_tags():
     assert tagged.o.langtag == "en-GB"
     unicode_esc = parse_triple_line('<http://a> <http://p> "\\u00e9\\U0001F600" .')
     assert unicode_esc.o.value == "é\U0001F600"
+    # the code points on either side of the surrogates
+    edges = parse_triple_line('<http://a> <http://p> "\\uD7FF\\uE000\\U0000D7FF" .')
+    assert edges.o.value == "\uD7FF\uE000\uD7FF"
+
+
+@pytest.mark.parametrize("escape", ["\\uD800", "\\udfff", "\\U0000D800", "\\U0000dbff"])
+def test_surrogate_escapes_are_rejected_with_their_line(escape):
+    with pytest.raises(ParseError, match="surrogate") as err:
+        parse_ntriples(f'<http://a> <http://p> "x" .\n<http://a> <http://p> "a{escape}b" .')
+    assert err.value.line_no == 2
 
 
 def test_serialize_empty_graph_is_empty_string():

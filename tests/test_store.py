@@ -29,6 +29,7 @@ from bnodematch.delta import (
     load_delta,
     mapped_delta,
 )
+from bnodematch import ntriples
 from bnodematch.matcher import match_bnodes
 from bnodematch.store import VersionStore, StoreError, _write_manifest
 from conftest import random_relabeling, small_pair
@@ -129,6 +130,27 @@ def test_init_refuses_nonempty_directories(tmp_path, g1):
     (target / "junk").write_text("x")
     with pytest.raises(StoreError):
         VersionStore.init(target, g1)
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "empty-dir"])
+def test_a_failed_init_leaves_nothing_behind(tmp_path, g1, monkeypatch, existing):
+    target = tmp_path / "repo"
+    if existing:
+        target.mkdir()
+
+    def write_nothing_then_fail(g, path):
+        Path(path).write_bytes(b"")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ntriples, "save_graph", write_nothing_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        VersionStore.init(target, g1)
+    monkeypatch.undo()
+    assert target.exists() == existing
+    if existing:
+        assert list(target.iterdir()) == []
+    VersionStore.init(target, g1)  # a second attempt starts afresh
+    assert VersionStore(target).checkout(1) == g1
 
 
 def test_lock_excludes_concurrent_writers(repo, g2):
