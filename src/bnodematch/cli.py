@@ -43,9 +43,17 @@ from .ntriples import ParseError
 from .store import StoreError, VersionStore
 
 
+def _read_stdin() -> str:
+    """All of stdin, decoded strictly as UTF-8 when it is a byte stream."""
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:  # a text stream put in its place
+        return sys.stdin.read()
+    return ntriples.decode_utf8(buffer.read())
+
+
 def _read_graph(path: str) -> Graph:
     if path == "-":
-        return ntriples.parse_ntriples(sys.stdin.read(), "stdin").graph
+        return ntriples.parse_ntriples(_read_stdin(), "stdin").graph
     return ntriples.load_graph(path)
 
 
@@ -115,7 +123,7 @@ def cmd_patch(args) -> int:
     g = _read_graph(args.graph)
     _guard_output(args.output, [args.graph, args.delta])
     if args.delta == "-":
-        script = parse_delta(sys.stdin.read())
+        script = parse_delta(_read_stdin())
     else:
         script = load_delta(args.delta)
     result, warnings = apply_delta(g, script)
@@ -235,7 +243,7 @@ def cmd_bench(args) -> int:
         bound = ""
         truth_path = os.path.join(pair_dir, "truth.bm")
         if os.path.isfile(truth_path):
-            with open(truth_path, encoding="utf-8") as fh:
+            with ntriples.open_utf8(truth_path) as fh:
                 bound = mapping_cost(g1, g2, parse_mapping(fh.read()))
         for threshold in (EXACT_THRESHOLD, 0):
             start = time.perf_counter()

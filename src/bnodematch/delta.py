@@ -201,10 +201,12 @@ def parse_delta(text: str) -> DeltaScript:
         tag, _, rest = line.partition(" ")
         if tag == "M":
             _read_pair(pairs, images, rest.split(), line, line_no)
-        elif tag == "D":
-            deletions.add(ntriples.parse_triple_line(rest, line_no))
-        elif tag == "A":
-            additions.add(ntriples.parse_triple_line(rest, line_no))
+        elif tag in ("D", "A"):
+            t = ntriples.parse_triple_line(rest, line_no)
+            own, other = (deletions, additions) if tag == "D" else (additions, deletions)
+            if t in other:
+                raise ntriples.ParseError(line_no, "a triple cannot be both added and deleted")
+            own.add(t)
         else:
             raise ntriples.ParseError(line_no, f"unknown delta line tag: {tag!r}")
     mapping = BnodeMapping(pairs, cost=0, method="loaded") if pairs else None
@@ -225,5 +227,5 @@ def save_delta(script: DeltaScript, path: str) -> bytes:
 
 
 def load_delta(path: str) -> DeltaScript:
-    with open(path, "r", encoding="utf-8") as fh:
+    with ntriples.open_utf8(path) as fh:
         return parse_delta(fh.read())

@@ -39,11 +39,16 @@ matrix entry for entry and the assignment solver picks the same pairs.
 
 The solver is scipy's rectangular LSAP (Crouse, IEEE TAES 2016), the
 extension module ``scipy.optimize._lsap``.  It is loaded on its own, by
-file, because importing ``scipy.optimize`` for it would also load linalg,
-fft, special and every optimizer, which takes each one-shot CLI process
-many times longer than its request and doubles its memory.  The module is
-registered under its own name, so a later ``import scipy.optimize``
-re-exports this very function.
+file, eagerly when this module is imported.  Importing ``scipy.optimize``
+for it would also load linalg, fft, special and every optimizer, which
+takes each one-shot CLI process many times longer than its request and
+doubles its memory.  Even ``import scipy`` runs the package's
+``__init__``, which loads test utilities, ``subprocess`` and version
+parsing, about 10 ms of start-up for nothing this module uses.  So the
+package directory comes from ``importlib.util.find_spec("scipy")``, which
+finds the package without running it, and no ``scipy`` module but the
+solver is loaded.  The module is registered under its own name, so a
+later ``import scipy.optimize`` re-exports this very function.
 
 ``brute_force_match`` is an independent flat enumeration used as a test
 oracle; it evaluates candidate costs through a literal rename-and-diff of
@@ -62,7 +67,6 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFin
 from typing import Callable, Iterable, Mapping, Optional, Union
 
 import numpy as np
-import scipy
 
 from . import ntriples
 from .equivalence import EquivalenceRelation
@@ -92,11 +96,14 @@ def _load_lsap() -> Callable:
     name = "scipy.optimize._lsap"
     module = sys.modules.get(name)
     if module is None:
-        finder = FileFinder(os.path.join(scipy.__path__[0], "optimize"),
+        package = importlib.util.find_spec("scipy")  # finds the package without running it
+        if package is None:
+            raise ImportError("scipy not found")
+        finder = FileFinder(os.path.join(package.submodule_search_locations[0], "optimize"),
                             (ExtensionFileLoader, EXTENSION_SUFFIXES))
         spec = finder.find_spec(name)
         if spec is None:
-            raise ImportError(f"{name} not found beside scipy {scipy.__version__}")
+            raise ImportError(f"{name} not found in {finder.path}")
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import bnodematch
 from bnodematch import graphs_equivalent, load_graph
 from bnodematch.cli import main
 from bnodematch.matcher import parse_mapping
@@ -18,6 +20,7 @@ G2 = str(FIXTURES / "g2.nt")
 G2NB = str(FIXTURES / "g2_no_birthday.nt")
 G3 = str(FIXTURES / "g3.nt")
 G4 = str(FIXTURES / "g4.nt")
+SRC = str(Path(bnodematch.__file__).resolve().parents[1])
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -106,6 +109,57 @@ def test_malformed_delta_exits_three(tmp_path, capsys, body):
     assert main(["patch", G1, str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: line 2:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("first, second", [("D", "A"), ("A", "D")])
+def test_a_delta_that_adds_and_deletes_one_triple_exits_three(tmp_path, capsys, first, second):
+    both = tmp_path / "both.rdfd"
+    triple = "_:x <http://x/p> _:y ."
+    both.write_text(f"# direction=target-labels\n{first} {triple}\n\n{second} {triple}\n")
+    assert main(["patch", G1, str(both)]) == 3
+    assert capsys.readouterr().err == "error: line 4: a triple cannot be both added and deleted\n"
+
+
+# A byte that cannot start a UTF-8 sequence, inside a literal on line 2.
+_BAD_GRAPH = b'<http://x/s> <http://x/p> "ok" .\n_:x <http://x/p> "\xff" .\n'
+_BAD_DELTA = b'# direction=target-labels\nA _:x <http://x/p> "\xff" .\n'
+_NOT_UTF8 = "error: line 2: not UTF-8 (invalid start byte at byte "
+
+
+@pytest.mark.parametrize("verb", ["diff", "patch", "sameas", "bench"])
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, verb):
+    bad = tmp_path / "bad"
+    bad.write_bytes(_BAD_DELTA if verb == "patch" else _BAD_GRAPH)
+    pair = tmp_path / "pairs" / "p1"
+    pair.mkdir(parents=True)
+    (pair / "g1.nt").write_text(Path(G1).read_text())
+    (pair / "g2.nt").write_text(Path(G2).read_text())
+    (pair / "truth.bm").write_bytes(b"# method=generator\nM \xff 1\n")
+    argv = {
+        "diff": ["diff", str(bad), G1],
+        "patch": ["patch", G1, str(bad)],
+        "sameas": ["diff", G1, G2, "--equiv", f"sameas:{bad}"],
+        "bench": ["bench", str(tmp_path / "pairs")],
+    }[verb]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(_NOT_UTF8)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["diff", "-", G1], ["diff", G1, "-", "-o", "out"], ["patch", G1, "-"],
+     ["vs", "init", "repo", "-"]],
+    ids=["diff", "diff-o", "patch", "vs-init"],
+)
+def test_stdin_that_is_not_utf8_is_a_parse_error(tmp_path, argv):
+    # UTF-8 mode reads text stdin with surrogateescape, so stdin is decoded from its bytes
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONUTF8="1")
+    run = subprocess.run([sys.executable, "-m", "bnodematch", *argv],
+                         input=_BAD_DELTA if argv[0] == "patch" else _BAD_GRAPH,
+                         capture_output=True, cwd=tmp_path, env=env)
+    assert run.returncode == 3
+    assert run.stderr.decode().startswith(_NOT_UTF8)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 import time
 from pathlib import Path
 
@@ -11,7 +13,14 @@ from hypothesis import given, strategies as st
 
 from bnodematch import Graph, Triple, bnode, iri, literal, parse_ntriples, serialize_ntriples
 from bnodematch.model import BNODE, LITERAL, Term
-from bnodematch.ntriples import LABEL_RE, LANGTAG_RE, ParseError, parse_triple_line, render_triple
+from bnodematch.ntriples import (
+    _TERM_RE,
+    LABEL_RE,
+    LANGTAG_RE,
+    ParseError,
+    parse_triple_line,
+    render_triple,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -181,6 +190,33 @@ def test_labels_outside_the_production_are_rejected(label):
 def test_a_final_dot_is_the_terminator():
     t = parse_triple_line("_:b.1 <http://x/p> _:b1.")
     assert (t.s, t.o) == (bnode("b.1"), bnode("b1"))
+
+
+# The spec's classes as the spec lists them: the reference for the negated
+# classes that LABEL_RE is written with.
+_SPEC_PN_CHARS_U = (
+    "A-Za-z\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u02FF\u0370-\u037D\u037F-\u1FFF"
+    "\u200C-\u200D\u2070-\u218F\u2C00-\u2FEF\u3001-\uD7FF\uF900-\uFDCF"
+    "\uFDF0-\uFFFD\U00010000-\U000EFFFF_:"
+)
+_SPEC_PN_CHARS = _SPEC_PN_CHARS_U + "\\-0-9\u00B7\u0300-\u036F\u203F-\u2040"
+_SPEC_LABEL_RE = re.compile(
+    f"[{_SPEC_PN_CHARS_U}0-9](?:[{_SPEC_PN_CHARS}.]*[{_SPEC_PN_CHARS}])?"
+)
+
+
+@pytest.mark.parametrize("before, after", [("", ""), ("", "b"), ("a", "b"), ("a", "")],
+                         ids=["alone", "first", "middle", "last"])
+def test_every_code_point_gets_the_spec_label_match(before, after):
+    for block in range(0, sys.maxunicode + 1, 0x10000):
+        points = range(block, block + 0x10000)
+        labels = [before + chr(cp) + after for cp in points]
+        expected = [m and m[0] for m in map(_SPEC_LABEL_RE.match, labels)]
+        matched = [m and m[0] for m in map(LABEL_RE.match, labels)]
+        parsed = [m and m[2] for m in map(_TERM_RE.match, ["_:" + label for label in labels])]
+        for got in (matched, parsed):
+            assert got == expected, next(
+                f"U+{cp:04X}" for cp, g, e in zip(points, got, expected) if g != e)
 
 
 @given(st.sets(st.builds(Triple, st.one_of(_iris, _wide_bnodes), _iris,

@@ -1,4 +1,4 @@
-"""Start-up cost: the CLI loads scipy's assignment solver and nothing else of scipy.optimize."""
+"""Start-up cost: the CLI loads scipy's assignment solver and nothing else of scipy."""
 
 from __future__ import annotations
 
@@ -27,12 +27,18 @@ def _modules_after(statement: str) -> list[str]:
 
 def test_importing_the_cli_loads_no_heavy_scipy_module():
     modules = _modules_after("import bnodematch.cli")
-    assert "scipy.optimize._lsap" in modules
-    heavy = [name for name in modules
-             if name.startswith(("scipy.sparse", "scipy.optimize"))
-             and name != "scipy.optimize._lsap"]
-    assert heavy == []
+    assert [name for name in modules if name.split(".")[0] == "scipy"] == ["scipy.optimize._lsap"]
     assert "importlib.metadata" not in modules
+
+
+def test_scipy_optimize_imported_after_the_cli_exports_the_same_solver():
+    # pytest may have imported scipy before bnodematch, so check the order in a fresh interpreter
+    script = ("import bnodematch.cli, scipy.optimize; from bnodematch import matcher; "
+              "print(matcher.linear_sum_assignment is scipy.optimize.linear_sum_assignment)")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "True\n"
 
 
 def test_the_solver_is_the_one_scipy_optimize_exports():
