@@ -19,6 +19,7 @@ from .model import (
     literal,
     rename_graph,
     rename_triple,
+    rename_triples,
 )
 from .ntriples import (
     ParseError,
@@ -107,6 +108,7 @@ __all__ = [
     "plain_delta",
     "rename_graph",
     "rename_triple",
+    "rename_triples",
     "reverse_delta",
     "save_delta",
     "save_graph",

@@ -43,17 +43,16 @@ from .ntriples import ParseError
 from .store import StoreError, VersionStore
 
 
-def _read_stdin() -> str:
-    """All of stdin, decoded strictly as UTF-8 when it is a byte stream."""
-    buffer = getattr(sys.stdin, "buffer", None)
-    if buffer is None:  # a text stream put in its place
-        return sys.stdin.read()
-    return ntriples.decode_utf8(buffer.read())
+def _parse_stdin(parse):
+    """``parse`` of all of stdin, decoded strictly as UTF-8; a ParseError names ``-``."""
+    buffer = getattr(sys.stdin, "buffer", None)  # None for a text stream put in its place
+    with ntriples.naming("-"):
+        return parse(sys.stdin.read() if buffer is None else ntriples.decode_utf8(buffer.read()))
 
 
 def _read_graph(path: str) -> Graph:
     if path == "-":
-        return ntriples.parse_ntriples(_read_stdin(), "stdin").graph
+        return _parse_stdin(lambda text: ntriples.parse_ntriples(text, "stdin").graph)
     return ntriples.load_graph(path)
 
 
@@ -122,10 +121,7 @@ def cmd_patch(args) -> int:
     _stdin_once([args.graph, args.delta])
     g = _read_graph(args.graph)
     _guard_output(args.output, [args.graph, args.delta])
-    if args.delta == "-":
-        script = parse_delta(_read_stdin())
-    else:
-        script = load_delta(args.delta)
+    script = _parse_stdin(parse_delta) if args.delta == "-" else load_delta(args.delta)
     result, warnings = apply_delta(g, script)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)

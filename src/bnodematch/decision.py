@@ -16,7 +16,7 @@ and keeps the map injective; entailment takes them from the smallest
 index set of subjects or objects that a ground incident triple allows.
 
 Both searches are worst-case exponential; a node budget raises rather
-than ever answering wrongly.
+than ever answering wrongly.  Witnesses are checked on triple sets.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Collection, Iterator, Mapping, Optional
 
-from .delta import TARGET_LABELS, mapped_delta
 from .matcher import (
     ASSIGNMENT,
     BRUTE_FORCE,
@@ -42,7 +41,7 @@ from .model import (
     Triple,
     bnode_components,
     incident_triples,
-    rename_graph,
+    rename_triples,
 )
 
 DEFAULT_BUDGET = 2_000_000
@@ -174,8 +173,9 @@ def find_equivalence_bijection(g1: Graph, g2: Graph) -> Optional[dict[Term, Term
         return {} if g1 == g2 else None
     mapping = match_bnodes(g1, g2)
     if mapping.cost == 0:
-        script = mapped_delta(g1, g2, mapping, TARGET_LABELS)
-        return dict(mapping.pairs) if script.is_empty() else None
+        pairs = mapping.pairs
+        carried = rename_triples(g1.triples, Renaming(pairs)) == g2.triples
+        return dict(pairs) if carried and pairs.keys() == g1.bnodes() else None
     if mapping.method in (BRUTE_FORCE, ASSIGNMENT):
         return None  # the cost is a true minimum, so no zero-cost bijection
     return _bijection_search(g1, g2, _Budget(DEFAULT_BUDGET))
@@ -273,5 +273,4 @@ def verify_entailment(g1: Graph, g2: Graph, mapping: EntailmentMapping) -> bool:
         raise ValueError(
             f"mapping must cover every bnode of the entailed graph; missing {len(missing)}"
         )
-    renamed = rename_graph(g2, Renaming(mapping.assignments))
-    return renamed.triples <= g1.triples
+    return rename_triples(g2.triples, Renaming(mapping.assignments)) <= g1.triples

@@ -1,13 +1,13 @@
 """Explicit add/delete deltas between graphs, with bnode-mapping support.
 
 A delta can be expressed in the label scope of the target graph (new
-bnodes keep their own labels; the old graph is renamed into them before
-differencing) or of the source graph (incoming bnodes are renamed into the
-old labels, which is what a version store wants).  Scripts embed the
-injection they were computed with, so a patch file is self-contained.
-The version store's deltas are the exception: a source-labels script
-applies to the store's head as it stands, so the store saves it without
-the injection.
+bnodes keep their own labels; the old graph's triples are renamed into
+them before differencing) or of the source graph (incoming bnodes are
+renamed into the old labels, which is what a version store wants), and is
+built and applied on triple sets.  Scripts embed the injection they were
+computed with, so a patch file is self-contained.  The version store's
+deltas are the exception: a source-labels script applies to the store's
+head as it stands, so the store saves it without the injection.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 from . import ntriples
 from .matcher import BnodeMapping, _as_dict, _read_pair
-from .model import Graph, Renaming, Term, Triple, bnode, rename_graph
+from .model import Graph, Renaming, Term, Triple, bnode, rename_triples
 
 TARGET_LABELS = "target-labels"
 SOURCE_LABELS = "source-labels"
@@ -105,10 +105,10 @@ def _target_delta(g1: Graph, g2: Graph, mapping: BnodeMapping) -> DeltaScript:
     renaming = dict(mapping.pairs)
     for b1 in sorted(g1.bnodes() - set(renaming), key=Term.sort_key):
         renaming[b1] = bnode(_fresh_label(b1.value, used))
-    g1m = rename_graph(g1, Renaming(renaming))
+    g1m = rename_triples(g1.triples, Renaming(renaming))
     return DeltaScript(
-        additions=g2.triples - g1m.triples,
-        deletions=g1m.triples - g2.triples,
+        additions=g2.triples - g1m,
+        deletions=g1m - g2.triples,
         mapping_used=BnodeMapping(renaming, cost=mapping.cost, method=mapping.method),
         direction=TARGET_LABELS,
     )
@@ -121,14 +121,14 @@ def apply_delta(g: Graph, script: DeltaScript) -> tuple[Graph, list[str]]:
     first; source-labels scripts expect a graph already in the script's
     source scope.
     """
-    base = g
+    base = g.triples
     if script.direction == TARGET_LABELS and script.mapping_used is not None:
-        base = rename_graph(g, Renaming(dict(script.mapping_used.pairs)))
+        base = rename_triples(base, Renaming(dict(script.mapping_used.pairs)))
     warnings = [
         f"delete of absent triple: {ntriples.render_triple(t)}"
-        for t in sorted(script.deletions - base.triples, key=Triple.sort_key)
+        for t in sorted(script.deletions - base, key=Triple.sort_key)
     ]
-    result = (base.triples - script.deletions) | script.additions
+    result = (base - script.deletions) | script.additions
     return Graph(result, g.graph_id), warnings
 
 
@@ -186,8 +186,7 @@ def parse_delta(text: str) -> DeltaScript:
     images: set[str] = set()
     additions: set[Triple] = set()
     deletions: set[Triple] = set()
-    # Split on newlines only, as ``parse_ntriples`` does.
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    for line_no, raw in enumerate(ntriples.split_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .model import BNODE, Graph, Renaming, Term, Triple, bnode, iri, literal, rename_graph
+from .model import BNODE, Graph, Renaming, Term, Triple, bnode, iri, literal, rename_triples
 
 _MAX_TRIES = 200
 
@@ -98,7 +98,7 @@ def generate_pair(spec: GenSpec) -> GeneratedPair:
     new_labels = [f"m{i}" for i in range(spec.bnode_count)]
     rng.shuffle(new_labels)
     relabeling = {b: bnode(new_labels[i]) for i, b in enumerate(bnodes)}
-    mutated = set(rename_graph(g1, Renaming(relabeling)).triples)
+    mutated = set(rename_triples(g1.triples, Renaming(relabeling)))
 
     applied = 0
     for _ in range(spec.mutation_ops):

@@ -30,6 +30,7 @@ from .model import (
     incident_triples,
     iri,
     rename_graph,
+    rename_triples,
 )
 
 AcceptFn = Callable[[Term, Term, int, int, int], bool]
@@ -127,17 +128,11 @@ def integrate_all(
         content = Graph(content.triples | new.triples, "integrated")
 
     sameas = iri(OWL_SAMEAS)
-    link_triples = {Triple(a, sameas, b) for a, b in bnode_links}
-    link_triples |= {Triple(a, sameas, b) for a, b in uri_links}
-
     if unify:
-        merged = rename_graph(content, _unifying_renaming(bnode_links))
-        merged = Graph(
-            merged.triples | {Triple(a, sameas, b) for a, b in uri_links},
-            "integrated",
-        )
+        kept = rename_triples(content.triples, _unifying_renaming(bnode_links))
     else:
-        merged = Graph(content.triples | link_triples, "integrated")
+        kept = content.triples | {Triple(a, sameas, b) for a, b in bnode_links}
+    merged = Graph(kept | {Triple(a, sameas, b) for a, b in uri_links}, "integrated")
 
     linked = {a for a, _ in bnode_links} | {b for _, b in bnode_links}
     report = {

@@ -724,8 +724,7 @@ def parse_mapping(text: str) -> BnodeMapping:
     images: set[str] = set()
     cost = 0
     method = "loaded"
-    # Split on newlines only, as ``parse_ntriples`` does.
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    for line_no, raw in enumerate(ntriples.split_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue

@@ -3,7 +3,8 @@
 Blank-node labels are scoped to a single graph: the same label in two
 different graphs names two unrelated nodes.  Everything here is immutable
 after construction, so graphs and renamings are safe to share between
-concurrent readers.
+concurrent readers.  A ``Graph`` is built where matching or a decision
+reads its index; renames and deltas are triple-set arithmetic.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class Graph:
 
     Equality compares triple sets only; ``graph_id`` is an opaque tag used
     in diagnostics.  Term partitions and the bnode incidence index are
-    precomputed because nearly every operation needs them.
+    computed at construction, for the matcher and the decisions to read.
     """
 
     __slots__ = ("triples", "graph_id", "_uris", "_bnodes", "_literals", "_incident")
@@ -205,11 +206,16 @@ def rename_triple(t: Triple, renaming: Renaming) -> Triple:
     return Triple(s, t.p, o)
 
 
-def rename_graph(g: Graph, renaming: Renaming) -> Graph:
+def rename_triples(triples: Iterable[Triple], renaming: Renaming) -> frozenset[Triple]:
     """Set image of per-triple renaming; may shrink when triples collapse."""
+    return frozenset(rename_triple(t, renaming) for t in triples)
+
+
+def rename_graph(g: Graph, renaming: Renaming) -> Graph:
+    """``rename_triples`` of ``g`` as a Graph of the same id; ``g`` itself under no renaming."""
     if not renaming.pairs:
         return g
-    return Graph((rename_triple(t, renaming) for t in g), g.graph_id)
+    return Graph(rename_triples(g.triples, renaming), g.graph_id)
 
 
 def incident_triples(g: Graph, b: Term) -> frozenset[Triple]:

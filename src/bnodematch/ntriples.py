@@ -10,6 +10,7 @@ The accepted grammar, line by line (RDF 1.1 N-Triples, with these limits):
 
 - a document read from a file or stdin is UTF-8; the first byte that is
   not raises a ``ParseError`` naming its line;
+- LF, CR LF or CR ends a line, whatever the document is read from;
 - a line is ``subject predicate object .``; spaces and tabs between the
   terms and before the ``.`` are optional, and after the ``.`` only
   whitespace or a ``#`` comment may follow;
@@ -166,12 +167,15 @@ def parse_ntriples(source: Union[str, IO[str], Iterable[str]], graph_id: str = "
     lines are skipped.  Raises :class:`ParseError` on malformed input.
     """
     if isinstance(source, str):
-        # split on newlines only: other vertical whitespace may occur
-        # unescaped inside literals
-        source = source.split("\n")
+        source = split_lines(source)
     triples, warnings, line_count = _parse_lines(source)
     graph = Graph(triples, graph_id)
     return ParseReport(graph, line_count, {b.value for b in graph.bnodes()}, warnings)
+
+
+def split_lines(text: str) -> list[str]:
+    """``text`` cut at each LF, CR LF or CR (an N-Triples 1.1 EOL), and at no other line break."""
+    return re.split(r"\r\n?|\n", text) if "\r" in text else text.split("\n")
 
 
 def _parse_lines(lines: Iterable[str]) -> tuple[set[Triple], list[tuple[int, str]], int]:
@@ -205,8 +209,18 @@ def decode_utf8(data: bytes) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        line_no = len(split_lines(data[: exc.start].decode("utf-8")))
         raise ParseError(line_no, f"not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+@contextlib.contextmanager
+def naming(path: str) -> Iterator[None]:
+    """Start the message of a ParseError that leaves the block with ``path``, its document's name."""
+    try:
+        yield
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 @contextlib.contextmanager
@@ -215,15 +229,17 @@ def open_utf8(path: str) -> Iterator[IO[str]]:
 
     A read that meets a byte that is not UTF-8 raises a ParseError naming
     its line.  The file is read again, as bytes, only to find that line,
-    so a good file costs what ``open`` costs.
+    so a good file costs what ``open`` costs.  Any ParseError raised while
+    the file is open names ``path``.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            yield fh
-    except UnicodeDecodeError:
-        with open(path, "rb") as fh:
-            decode_utf8(fh.read())
-        raise  # the file changed between the two reads
+    with naming(path):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as fh:
+                decode_utf8(fh.read())
+            raise  # the file changed between the two reads
 
 
 def load_graph(path: str, graph_id: str = "") -> Graph:

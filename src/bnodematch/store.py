@@ -212,7 +212,7 @@ class VersionStore:
             )
         # Store deltas are source-labels scripts, which apply without
         # renaming, so the replay runs on triple sets and builds one Graph.
-        triples, _, _ = ntriples._parse_lines(self._texts[0].split("\n"))
+        triples, _, _ = ntriples._parse_lines(ntriples.split_lines(self._texts[0]))
         for k in range(1, i):
             script = parse_delta(self._texts[k])
             if script.direction != SOURCE_LABELS:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 from pathlib import Path
 
@@ -19,6 +20,12 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# ``pythonpath`` in pyproject.toml puts src on this process's path; tests
+# that run ``python -m bnodematch`` in a subprocess find it through this.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 MUS = "http://www.example.com/music/v0/"
 DB = "http://www.dbpedia.org/"

@@ -13,6 +13,7 @@ import bnodematch
 from bnodematch import graphs_equivalent, load_graph
 from bnodematch.cli import main
 from bnodematch.matcher import parse_mapping
+from bnodematch.ntriples import parse_ntriples, serialize_ntriples
 
 FIXTURES = Path(__file__).parent / "fixtures"
 G1 = str(FIXTURES / "g1.nt")
@@ -108,7 +109,7 @@ def test_malformed_delta_exits_three(tmp_path, capsys, body):
     bad.write_text("# direction=target-labels\n" + body)
     assert main(["patch", G1, str(bad)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: line 2:") and "Traceback" not in err
+    assert err.startswith(f"error: {bad}: line 2:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("first, second", [("D", "A"), ("A", "D")])
@@ -117,13 +118,14 @@ def test_a_delta_that_adds_and_deletes_one_triple_exits_three(tmp_path, capsys, 
     triple = "_:x <http://x/p> _:y ."
     both.write_text(f"# direction=target-labels\n{first} {triple}\n\n{second} {triple}\n")
     assert main(["patch", G1, str(both)]) == 3
-    assert capsys.readouterr().err == "error: line 4: a triple cannot be both added and deleted\n"
+    assert capsys.readouterr().err == (
+        f"error: {both}: line 4: a triple cannot be both added and deleted\n")
 
 
 # A byte that cannot start a UTF-8 sequence, inside a literal on line 2.
 _BAD_GRAPH = b'<http://x/s> <http://x/p> "ok" .\n_:x <http://x/p> "\xff" .\n'
 _BAD_DELTA = b'# direction=target-labels\nA _:x <http://x/p> "\xff" .\n'
-_NOT_UTF8 = "error: line 2: not UTF-8 (invalid start byte at byte "
+_NOT_UTF8 = "line 2: not UTF-8 (invalid start byte at byte "
 
 
 @pytest.mark.parametrize("verb", ["diff", "patch", "sameas", "bench"])
@@ -142,7 +144,8 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, verb):
         "bench": ["bench", str(tmp_path / "pairs")],
     }[verb]
     assert main(argv) == 3
-    assert capsys.readouterr().err.startswith(_NOT_UTF8)
+    named = pair / "truth.bm" if verb == "bench" else bad
+    assert capsys.readouterr().err.startswith(f"error: {named}: {_NOT_UTF8}")
 
 
 @pytest.mark.parametrize(
@@ -158,7 +161,7 @@ def test_stdin_that_is_not_utf8_is_a_parse_error(tmp_path, argv):
                          input=_BAD_DELTA if argv[0] == "patch" else _BAD_GRAPH,
                          capture_output=True, cwd=tmp_path, env=env)
     assert run.returncode == 3
-    assert run.stderr.decode().startswith(_NOT_UTF8)
+    assert run.stderr.decode().startswith(f"error: -: {_NOT_UTF8}")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -175,7 +178,7 @@ def test_malformed_mapping_file_exits_three(tmp_path, capsys, truth):
     (pair / "truth.bm").write_text("# method=generator\n" + truth)
     assert main(["bench", str(tmp_path / "pairs")]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: line 2:") and "Traceback" not in err
+    assert err.startswith(f"error: {pair / 'truth.bm'}: line 2:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("mapping", ["M 1 x\nM 2 x\n", "M 1 x\nM 1 y\n"],
@@ -188,10 +191,11 @@ def test_repeated_mapping_label_exits_three(tmp_path, capsys, mapping):
     (pair / "g1.nt").write_text(Path(G1).read_text())
     (pair / "g2.nt").write_text(Path(G2).read_text())
     (pair / "truth.bm").write_text("# method=generator\n" + mapping)
-    for argv in (["patch", G1, str(delta)], ["bench", str(tmp_path / "pairs")]):
+    for argv, named in ((["patch", G1, str(delta)], delta),
+                        (["bench", str(tmp_path / "pairs")], pair / "truth.bm")):
         assert main(argv) == 3, argv
         err = capsys.readouterr().err
-        assert err.startswith("error: line 3: repeated label") and "Traceback" not in err
+        assert err.startswith(f"error: {named}: line 3: repeated label") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("ch", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
@@ -545,3 +549,136 @@ def test_stdin_named_for_two_inputs_is_a_usage_error(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: stdin ('-') can be read only once; name it for one input only\n"
+
+
+# -- parse errors name their document ------------------------------------------
+
+_MALFORMED = '<http://x/s> <http://x/p> "ok" .\n<http://x/s> <http://x/p> oops .\n'
+_MALFORMED_ERR = "line 2: malformed object at column 26\n"
+
+
+@pytest.mark.parametrize("verb", ["diff-first", "diff-second", "patch", "vs-init", "sameas"])
+def test_a_parse_error_names_the_file_it_is_in(tmp_path, capsys, verb):
+    bad = tmp_path / "bad.nt"
+    bad.write_text(_MALFORMED)
+    delta = tmp_path / "bad.rdfd"
+    delta.write_text("# direction=target-labels\nX <http://a> <http://p> <http://b> .\n")
+    repo = tmp_path / "repo"
+    argv, named, message = {
+        "diff-first": (["diff", str(bad), G1], bad, _MALFORMED_ERR),
+        "diff-second": (["diff", G1, str(bad)], bad, _MALFORMED_ERR),
+        "patch": (["patch", G1, str(delta)], delta, "line 2: unknown delta line tag: 'X'\n"),
+        "vs-init": (["vs", "init", str(repo), str(bad)], bad, _MALFORMED_ERR),
+        "sameas": (["diff", G1, G2, "--equiv", f"sameas:{bad}"], bad, _MALFORMED_ERR),
+    }[verb]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {named}: {message}"
+    assert not repo.exists()
+
+
+@pytest.mark.parametrize("argv", [["diff", "-", G1], ["diff", G1, "-"], ["patch", G1, "-"]],
+                         ids=["diff-first", "diff-second", "patch"])
+def test_a_parse_error_on_stdin_names_it_dash(capsys, monkeypatch, argv):
+    import io
+
+    text = "# direction=target-labels\nX _:a <http://p> _:b .\n" if argv[0] == "patch" else _MALFORMED
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    assert main(argv) == 3
+    message = "line 2: unknown delta line tag: 'X'\n" if argv[0] == "patch" else _MALFORMED_ERR
+    assert capsys.readouterr().err == f"error: -: {message}"
+
+
+# -- a raw CR ends a line, whatever the document is read from -----------------
+
+_CR_DOCUMENTS = {
+    "cr": b'<http://x/s> <http://x/p> "a" .\r_:b <http://x/p> "c" .\r',
+    "crlf": b'<http://x/s> <http://x/p> "a" .\r\n_:b <http://x/p> "c" .\r\n',
+    "mixed": b'_:b <http://x/p> "a" .\r\n\r_:b <http://x/q> _:c .\n_:c <http://x/p> "d" .\r',
+    "cr-in-literal": b'<http://x/s> <http://x/p> "a\rb" .\n',
+    "error-after-crlf": b'<http://x/s> <http://x/p> "a" .\r\n\r\n<http://x/s> oops .\r\n',
+    "error-after-cr": b'<http://x/s> <http://x/p> "a" .\r\r<http://x/s> oops .\r',
+}
+
+
+@pytest.mark.parametrize("doc", sorted(_CR_DOCUMENTS))
+def test_file_stdin_and_store_read_the_same_bytes_alike(tmp_path, capsys, monkeypatch, doc):
+    import io
+
+    data = _CR_DOCUMENTS[doc]
+    source = tmp_path / "g.nt"
+    source.write_bytes(data)
+    empty = tmp_path / "empty.rdfd"
+    empty.write_text("# direction=target-labels\n")
+    outcomes = []
+    for route in ("file", "stdin", "store"):
+        out, repo = tmp_path / f"{route}.nt", tmp_path / f"{route}-repo"
+        if route == "store":
+            rc = main(["vs", "init", str(repo), str(source)])
+            rc = rc or main(["vs", "checkout", str(repo), "1", "-o", str(out)])
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            rc = main(["patch", "-" if route == "stdin" else str(source), str(empty),
+                       "-o", str(out)])
+        err = capsys.readouterr().err.replace(f"{source}: ", "").replace("-: ", "")
+        outcomes.append((rc, err, out.read_bytes() if out.exists() else None))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    rc, err, graph = outcomes[0]
+    if doc.startswith("error") or doc == "cr-in-literal":
+        line = 1 if doc == "cr-in-literal" else 3
+        assert rc == 3 and err.startswith(f"error: line {line}: ")
+    else:
+        lf_only = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+        assert rc == 0 and graph == serialize_ntriples(parse_ntriples(lf_only).graph).encode()
+
+
+# -- a Graph is built only where its index is read -----------------------------
+
+# Graph builds per request: the inputs, the store head and the integration
+# sources are Graphs, and so are the results of patch and checkout.
+_GRAPH_BUILDS = {
+    "diff": 2, "diff --labels source": 2, "patch": 2, "match": 2, "equiv": 2, "entail": 2,
+    "vs commit": 2, "vs patch": 2, "vs checkout": 1, "integrate": 6, "integrate --unify": 6,
+}
+
+
+def test_graph_builds_per_request(tmp_path, capsys, monkeypatch):
+    from bnodematch import model
+    from bnodematch.generator import GenSpec, generate_pair, write_pair
+
+    for name, mutations in (("mutated", 3), ("relabelled", 0)):
+        spec = GenSpec(bnode_count=30, ground_triples=15, mutation_ops=mutations, seed=5)
+        write_pair(generate_pair(spec), spec, str(tmp_path / name))
+    g1, g2 = str(tmp_path / "mutated" / "g1.nt"), str(tmp_path / "mutated" / "g2.nt")
+    r1, r2 = str(tmp_path / "relabelled" / "g1.nt"), str(tmp_path / "relabelled" / "g2.nt")
+    delta, repo = str(tmp_path / "d.rdfd"), str(tmp_path / "repo")
+    assert main(["diff", g1, g2, "-o", delta]) == 0
+    assert main(["vs", "init", repo, g1]) == 0
+
+    builds = []
+    init = model.Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(model.Graph, "__init__", counted)
+    argvs = {
+        "diff": ["diff", g1, g2],
+        "diff --labels source": ["diff", g1, g2, "--labels", "source"],
+        "patch": ["patch", g1, delta],
+        "match": ["match", g1, g2],
+        "equiv": ["equiv", r1, r2],  # equivalent, so the matcher's pairs are checked
+        "entail": ["entail", r1, r2],  # entailed, so the witness is verified
+        "vs commit": ["vs", "commit", repo, g2],
+        "vs patch": ["vs", "patch", repo, "--from", "1", "--to", "2"],
+        "vs checkout": ["vs", "checkout", repo, "2"],
+        "integrate": ["integrate", g1, g2],
+        "integrate --unify": ["integrate", g1, g2, "--unify"],
+    }
+    counts = {}
+    for verb, argv in argvs.items():
+        builds.clear()
+        assert main(argv) == 0, verb
+        counts[verb] = len(builds)
+    capsys.readouterr()
+    assert counts == _GRAPH_BUILDS

@@ -30,6 +30,7 @@ from bnodematch import (
     verify_entailment,
 )
 from bnodematch import decision
+from bnodematch.delta import TARGET_LABELS, mapped_delta
 from bnodematch.decision import (
     DEFAULT_BUDGET,
     SearchBudgetExceeded,
@@ -573,3 +574,99 @@ class TestLongCollections:
         assert len(set(colors1.values())) == 200
         assert witness is not None
         assert rename_graph(g, Renaming(witness)) == relabelled
+
+
+# -- witness checks on triple sets: the replaced Graph-building paths ----------
+
+
+def _reference_verify_entailment(g1: Graph, g2: Graph, mapping: EntailmentMapping) -> bool:
+    """``verify_entailment`` as it was, renaming g2 through ``rename_graph``."""
+    missing = g2.bnodes() - set(mapping.assignments)
+    if missing:
+        raise ValueError(
+            f"mapping must cover every bnode of the entailed graph; missing {len(missing)}"
+        )
+    renamed = rename_graph(g2, Renaming(mapping.assignments))
+    return renamed.triples <= g1.triples
+
+
+def _reference_cost_zero_answer(g1: Graph, g2: Graph, mapping: BnodeMapping):
+    """The cost-0 branch as it was: the pairs, if their target-labels delta is empty."""
+    script = mapped_delta(g1, g2, mapping, TARGET_LABELS)
+    return dict(mapping.pairs) if script.is_empty() else None
+
+
+def _witness_pairs(fixtures):
+    """The 20 ordered fixture pairs, then the differential pairs above."""
+    yield from itertools.permutations(fixtures, 2)
+    yield from _differential_pairs()
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ValueError as err:
+        return str(err)
+
+
+def test_verify_entailment_equals_the_rename_graph_path(g1, g2, g3, g4, g2_no_birthday):
+    rng = random.Random(31)
+    verified = refuted = collapsing = 0
+    for a, b in _witness_pairs([g1, g2, g3, g4, g2_no_birthday]):
+        found = entails(a, b)
+        universe = sorted(a.bnodes() | a.uris(), key=Term.sort_key)
+        witnesses = [] if found is None else [found.assignments]
+        if universe:
+            # any function into the universe: often not injective, so
+            # renamed triples may collapse, and most do not land inside a
+            witnesses += [{b2: rng.choice(universe) for b2 in b.bnodes()} for _ in range(3)]
+        if b.bnodes():
+            partial = dict(witnesses[0]) if witnesses else {}
+            partial.pop(next(iter(b.bnodes())), None)
+            witnesses.append(partial)
+        for assignments in witnesses:
+            mapping = EntailmentMapping(assignments)
+            got = _outcome(verify_entailment, a, b, mapping)
+            assert got == _outcome(_reference_verify_entailment, a, b, mapping)
+            verified += got is True
+            refuted += got is False
+            collapsing += len(rename_graph(b, Renaming(assignments))) < len(b)
+    assert verified > 60 and refuted > 200 and collapsing > 50
+
+
+def test_the_cost_zero_answer_equals_the_mapped_delta_check(monkeypatch, g1, g2, g3, g4,
+                                                            g2_no_birthday):
+    """Equivalence answers, and the cost-0 check on the matcher's pairs and on
+    cost-0 mappings that cover too little or carry triples elsewhere."""
+    real = decision.match_bnodes
+    offered: list[BnodeMapping] = []
+    monkeypatch.setattr(decision, "match_bnodes", lambda a, b: offered[0] if offered else real(a, b))
+    rng = random.Random(37)
+    answered = broken = 0
+    for a, b in _witness_pairs([g1, g2, g3, g4, g2_no_birthday]):
+        offered.clear()
+        mapping = real(a, b)
+        witness = find_equivalence_bijection(a, b)
+        if mapping.cost == 0 and len(a.bnodes()) == len(b.bnodes()) and len(a) == len(b):
+            assert witness == _reference_cost_zero_answer(a, b, mapping)
+        if a.uris() != b.uris() or a.literals() != b.literals() or not a.bnodes():
+            continue
+        pairs = sorted(mapping.pairs.items(), key=lambda p: p[0].sort_key())
+        images = [dst for _, dst in pairs]
+        rng.shuffle(images)
+        for crafted in (pairs, pairs[1:], list(zip((src for src, _ in pairs), images))):
+            offered[:] = [BnodeMapping(dict(crafted), cost=0, method="crafted")]
+            got = find_equivalence_bijection(a, b)
+            if len(a.bnodes()) == len(b.bnodes()) and len(a) == len(b):
+                assert got == _reference_cost_zero_answer(a, b, offered[0])
+                answered += got is not None
+                broken += got is None
+    assert answered > 40 and broken > 40
+
+
+def test_decision_imports_nothing_from_delta():
+    import ast
+
+    tree = ast.parse(Path(decision.__file__).read_text(encoding="utf-8"))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "delta" not in modules and "bnodematch.delta" not in modules

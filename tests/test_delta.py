@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from bnodematch import (
     Graph,
     Renaming,
+    Term,
     Triple,
     apply_delta,
     bnode,
@@ -26,12 +28,13 @@ from bnodematch.delta import (
     TARGET_LABELS,
     DeltaScript,
     _fresh_label,
+    _target_delta,
     format_delta,
     parse_delta,
 )
 from bnodematch.matcher import BnodeMapping, _as_dict
 from bnodematch.model import BNODE
-from bnodematch.ntriples import ParseError
+from bnodematch.ntriples import ParseError, render_triple
 from conftest import random_relabeling, small_pair
 
 # Line breaks to ``str.splitlines`` that N-Triples allows raw inside a literal.
@@ -233,6 +236,14 @@ class TestDeltaFile:
             loaded = parse_delta(format_delta(script))
             assert (loaded.additions, loaded.deletions) == (script.additions, script.deletions)
 
+    @pytest.mark.parametrize("eol", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_cr_ends_a_line_as_lf_does(self, g2, g3, eol):
+        text = format_delta(mapped_delta(g2, g3, {bnode("2"): bnode("3")}))
+        assert parse_delta(text.replace("\n", eol)) == parse_delta(text)
+        with pytest.raises(ParseError) as err:
+            parse_delta(f"# direction=target-labels{eol}{eol}X _:a <http://p> _:b .{eol}")
+        assert err.value.line_no == 3
+
     def test_bad_lines_are_rejected(self):
         with pytest.raises(ValueError):
             parse_delta("X something .\n")
@@ -354,3 +365,120 @@ def test_one_builder_matches_the_replaced_two_branch_builder():
         collisions += any(b not in g2.bnodes() and b.value.startswith("u_") for b in images)
     assert rejected >= 60 and collisions >= 20
     assert min(directions.values()) >= 120
+
+
+# -- renames on triple sets: the replaced Graph-building paths ---------------
+
+
+def _reference_target_delta(g1, g2, mapping):
+    """``_target_delta`` as it was, renaming g1 through ``rename_graph``."""
+    used = {b.value for b in g1.bnodes() | g2.bnodes()}
+    used.update(b.value for pair in mapping.pairs.items() for b in pair)
+    renaming = dict(mapping.pairs)
+    for b1 in sorted(g1.bnodes() - set(renaming), key=Term.sort_key):
+        renaming[b1] = bnode(_fresh_label(b1.value, used))
+    g1m = rename_graph(g1, Renaming(renaming))
+    return DeltaScript(
+        additions=g2.triples - g1m.triples,
+        deletions=g1m.triples - g2.triples,
+        mapping_used=BnodeMapping(renaming, cost=mapping.cost, method=mapping.method),
+        direction=TARGET_LABELS,
+    )
+
+
+def _reference_apply_delta(g, script):
+    """``apply_delta`` as it was, renaming a target-labels base through ``rename_graph``."""
+    base = g
+    if script.direction == TARGET_LABELS and script.mapping_used is not None:
+        base = rename_graph(g, Renaming(dict(script.mapping_used.pairs)))
+    warnings = [
+        f"delete of absent triple: {render_triple(t)}"
+        for t in sorted(script.deletions - base.triples, key=Triple.sort_key)
+    ]
+    result = (base.triples - script.deletions) | script.additions
+    return Graph(result, g.graph_id), warnings
+
+
+def _script_fields(script):
+    return (script.additions, script.deletions, script.direction,
+            script.mapping_used and (script.mapping_used.pairs, script.mapping_used.cost,
+                                     script.mapping_used.method))
+
+
+def _injections(g1, g2, rng):
+    """The matcher's mapping, a part of it that leaves bnodes to fresh labels, and none."""
+    full = match_bnodes(g1, g2)
+    pairs = sorted(full.pairs.items(), key=lambda p: p[0].sort_key())
+    part = dict(rng.sample(pairs, len(pairs) // 2))
+    return [full, BnodeMapping(part, cost=7, method="part"), BnodeMapping({})]
+
+
+def _renaming_cases():
+    """(g1, g2, mapping) over the 20 ordered fixture pairs, generated pairs and
+    hand-made cases: an image that collides with a bnode left unmapped, and
+    the simultaneous ``{a: b, b: c}``."""
+    from conftest import FIXTURES
+    from bnodematch import load_graph
+
+    rng = random.Random(23)
+    fixtures = [load_graph(str(FIXTURES / f"{name}.nt"), name)
+                for name in ("g1", "g2", "g2_no_birthday", "g3", "g4")]
+    for g1, g2 in itertools.permutations(fixtures, 2):
+        for mapping in _injections(g1, g2, rng):
+            yield g1, g2, mapping
+    for seed in range(60):
+        pair = small_pair(2300 + seed, bnodes=2 + seed % 9,
+                          connectivity=0.0 if seed % 2 else 0.5, mutations=seed % 4)
+        for g1, g2 in ((pair.g1, pair.g2), (pair.g2, pair.g1)):
+            for mapping in _injections(g1, g2, rng):
+                yield g1, g2, mapping
+    a, b, c = bnode("a"), bnode("b"), bnode("c")
+    p, o = iri("http://x/p"), iri("http://x/o")
+    chain = Graph([Triple(a, p, b), Triple(b, p, o)])
+    yield chain, Graph([Triple(b, p, c), Triple(c, p, o)]), BnodeMapping({a: b, b: c})
+    yield chain, Graph([Triple(b, p, c), Triple(b, p, o)]), BnodeMapping({a: b, b: c})
+    yield chain, chain, BnodeMapping({a: b})
+
+
+def _apply_both_ways(g, script):
+    """Whether ``apply_delta`` warned, after checking it against the reference."""
+    got, warnings = apply_delta(g, script)
+    want, want_warnings = _reference_apply_delta(g, script)
+    assert type(got) is Graph
+    assert (got.triples, got.graph_id, warnings) == (want.triples, want.graph_id, want_warnings)
+    return bool(warnings)
+
+
+def test_target_deltas_and_patches_equal_the_rename_graph_paths():
+    fresh = warned = 0
+    cases = list(_renaming_cases())
+    for g1, g2, mapping in cases:
+        script = _target_delta(g1, g2, mapping)
+        expected = _reference_target_delta(g1, g2, mapping)
+        assert _script_fields(script) == _script_fields(expected)
+        assert format_delta(script) == format_delta(expected)
+        fresh += len(script.mapping_used.pairs) > len(mapping.pairs)
+        # the script, its reverse and its file read back, each on both graphs
+        for script in (script, reverse_delta(script), parse_delta(format_delta(script))):
+            warned += sum(_apply_both_ways(g, script) for g in (g1, g2))
+    assert len(cases) >= 300 and fresh >= 100 and warned >= 100
+
+
+def test_patches_whose_renaming_collapses_triples_equal_the_rename_graph_path():
+    # A loaded script's mapping need not cover the graph it is applied to,
+    # so an image can meet a bnode already there and two triples become one.
+    a, b, c = bnode("a"), bnode("b"), bnode("c")
+    p, o = iri("http://x/p"), iri("http://x/o")
+    twins = Graph([Triple(a, p, o), Triple(b, p, o), Triple(c, p, a)], "twins")
+    scripts = [
+        DeltaScript({Triple(b, p, b)}, {Triple(a, p, o)}, BnodeMapping({a: b})),
+        DeltaScript(set(), {Triple(c, p, b)}, BnodeMapping({a: b})),
+        DeltaScript({Triple(c, p, c)}, {Triple(b, p, o)}, BnodeMapping({a: b, b: c})),
+        DeltaScript(set(), set(), BnodeMapping({a: b, c: a})),
+    ]
+    collapsed = 0
+    for script in scripts:  # the third renames simultaneously: a to b, b to c
+        collapsed += len(rename_graph(twins, Renaming(dict(script.mapping_used.pairs)))) < 3
+        _apply_both_ways(twins, script)
+        _apply_both_ways(twins, parse_delta(format_delta(script)))
+    assert collapsed == 3

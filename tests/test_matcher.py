@@ -252,6 +252,16 @@ def test_mapping_file_round_trip(g2, g3):
     assert loaded.method == "brute_force"
 
 
+@pytest.mark.parametrize("eol", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_mapping_file_lines_end_at_cr_as_at_lf(eol):
+    text = "M a x\nM b y\n# cost=3 method=loaded\n"
+    loaded, same = parse_mapping(text), parse_mapping(text.replace("\n", eol))
+    assert (same.pairs, same.cost, same.method) == (loaded.pairs, loaded.cost, loaded.method)
+    with pytest.raises(ntriples.ParseError) as err:
+        parse_mapping(f"M a x{eol}{eol}M b x{eol}")
+    assert err.value.line_no == 3
+
+
 def test_mapping_file_rejects_garbage():
     with pytest.raises(ValueError):
         parse_mapping("M a\n")

@@ -17,6 +17,7 @@ from bnodematch import (
     literal,
     rename_graph,
     rename_triple,
+    rename_triples,
 )
 
 A, B, C, D, E, F, K = (iri(x) for x in "abcdefk")
@@ -87,6 +88,15 @@ class TestRenaming:
 
     def test_empty_graph_image(self):
         assert rename_graph(Graph(), Renaming({A: B})) == Graph()
+
+    def test_triple_set_image_collapses_and_applies_simultaneously(self):
+        x, y = bnode("x"), bnode("y")
+        triples = frozenset({Triple(A, P, x), Triple(A, P, y), Triple(x, P, y)})
+        assert rename_triples(triples, Renaming({x: y})) == {Triple(A, P, y), Triple(y, P, y)}
+        assert rename_triples(triples, Renaming({x: y, y: C})) == {
+            Triple(A, P, y), Triple(A, P, C), Triple(y, P, C)}
+        assert rename_triples(triples, Renaming()) == triples
+        assert rename_triples((), Renaming({x: y})) == frozenset()
 
 
 def test_renaming_relabels_fixture_bnode(g1, g2_no_birthday):
@@ -166,6 +176,23 @@ def test_renaming_locality(g, src, dst):
     renamed = rename_graph(g, Renaming({src: dst}))
     untouched = {t for t in g if src not in t.terms()}
     assert untouched <= renamed.triples
+
+
+renamings = st.builds(Renaming, st.dictionaries(resources, st.one_of(resources, st.just(P)),
+                                                max_size=4))
+
+
+@given(graphs, renamings)
+@settings(max_examples=300)
+def test_rename_triples_is_the_image_of_each_triple(g, renaming):
+    # an independent statement of the image: subjects and objects move at
+    # once, predicates never, and equal images collapse into one triple
+    r = renaming.pairs
+    expected = {Triple(r.get(t.s, t.s), t.p, r.get(t.o, t.o)) for t in g}
+    image = rename_triples(g.triples, renaming)
+    assert type(image) is frozenset and image == expected
+    renamed = rename_graph(g, renaming)
+    assert renamed.triples == expected and renamed.graph_id == g.graph_id
 
 
 @given(graphs)

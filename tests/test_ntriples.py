@@ -11,18 +11,56 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from bnodematch import Graph, Triple, bnode, iri, literal, parse_ntriples, serialize_ntriples
+from bnodematch import (
+    Graph, Triple, bnode, iri, literal, load_graph, parse_ntriples, serialize_ntriples,
+)
 from bnodematch.model import BNODE, LITERAL, Term
 from bnodematch.ntriples import (
     _TERM_RE,
     LABEL_RE,
     LANGTAG_RE,
     ParseError,
+    decode_utf8,
     parse_triple_line,
     render_triple,
+    split_lines,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("", [""]),
+    ("a\nb\n", ["a", "b", ""]),
+    ("a\rb\r", ["a", "b", ""]),
+    ("a\r\nb\r\n", ["a", "b", ""]),
+    ("a\r\n\rb\n\r\nc", ["a", "", "b", "", "c"]),
+    ("a\n\rb", ["a", "", "b"]),
+    ("a\x0bb\x0cc\x1cd\x85e\u2028f\u2029g", ["a\x0bb\x0cc\x1cd\x85e\u2028f\u2029g"]),
+], ids=["empty", "lf", "cr", "crlf", "mixed", "lf-then-cr", "other-breaks"])
+def test_lf_crlf_and_cr_each_end_one_line(text, lines):
+    assert split_lines(text) == lines
+
+
+def test_a_string_document_ends_lines_at_cr_as_a_file_does(tmp_path):
+    text = '<http://a> <http://p> "x" .\r\n\r<http://a> <http://p> "y" .\r<http://a> <http://p> z .'
+    path = tmp_path / "cr.nt"
+    path.write_bytes(text.encode())
+    for read in (lambda: parse_ntriples(text), lambda: load_graph(str(path))):
+        with pytest.raises(ParseError) as err:
+            read()
+        assert err.value.line_no == 4  # CR LF is one line end
+    fixed = text.replace(" z .", ' "z" .')
+    path.write_bytes(fixed.encode())
+    assert parse_ntriples(fixed).graph == load_graph(str(path))
+    assert len(parse_ntriples(fixed).graph) == 3
+
+
+def test_a_byte_that_is_not_utf8_is_counted_on_lines_of_any_end():
+    for data in (b'<a> <p> "x" .\r\n\r"\xff"', b'<a> <p> "x" .\n\n"\xff"', b'.\r.\r"\xff"'):
+        with pytest.raises(ParseError) as err:
+            decode_utf8(data)
+        assert err.value.line_no == 3
 
 
 def test_single_ground_triple():

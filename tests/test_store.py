@@ -368,3 +368,18 @@ def test_a_store_file_that_is_not_utf8_is_a_store_error(tmp_path, g1, g2, name):
     _write_manifest(tmp_path / "r", 2)  # the manifest vouches for the bytes
     with pytest.raises(StoreError, match=f"{re.escape(name)} is not UTF-8"):
         VersionStore(tmp_path / "r")
+
+
+@pytest.mark.parametrize("eol", ["\r", "\r\n"], ids=["cr", "crlf"])
+def test_stored_files_with_cr_line_ends_check_out_alike(tmp_path, g1, g2, eol):
+    # A base or delta written by another tool with CR line ends reads as
+    # the LF file does, since LF, CR LF and CR each end one line.
+    store = VersionStore.init(tmp_path / "r", g1)
+    store.commit(g2)
+    for name in ("base.nt", "0001.rdfd"):
+        path = tmp_path / "r" / name
+        path.write_bytes(path.read_bytes().replace(b"\n", eol.encode()))
+    _write_manifest(tmp_path / "r", 2)
+    reopened = VersionStore(tmp_path / "r")
+    assert reopened.checkout(1) == store.checkout(1) == g1
+    assert reopened.checkout(2) == store.checkout(2)
