@@ -239,8 +239,8 @@ def cmd_bench(args) -> int:
         bound = ""
         truth_path = os.path.join(pair_dir, "truth.bm")
         if os.path.isfile(truth_path):
-            with ntriples.open_utf8(truth_path) as fh:
-                bound = mapping_cost(g1, g2, parse_mapping(fh.read()))
+            with ntriples.naming(truth_path):
+                bound = mapping_cost(g1, g2, parse_mapping(ntriples.read_utf8(truth_path)))
         for threshold in (EXACT_THRESHOLD, 0):
             start = time.perf_counter()
             mapping = match_bnodes(g1, g2, exact_threshold=threshold)

@@ -226,5 +226,5 @@ def save_delta(script: DeltaScript, path: str) -> bytes:
 
 
 def load_delta(path: str) -> DeltaScript:
-    with ntriples.open_utf8(path) as fh:
-        return parse_delta(fh.read())
+    with ntriples.naming(path):
+        return parse_delta(ntriples.read_utf8(path))

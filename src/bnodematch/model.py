@@ -208,6 +208,8 @@ def rename_triple(t: Triple, renaming: Renaming) -> Triple:
 
 def rename_triples(triples: Iterable[Triple], renaming: Renaming) -> frozenset[Triple]:
     """Set image of per-triple renaming; may shrink when triples collapse."""
+    if not renaming.pairs:
+        return frozenset(triples)
     return frozenset(rename_triple(t, renaming) for t in triples)
 
 

@@ -175,7 +175,7 @@ def parse_ntriples(source: Union[str, IO[str], Iterable[str]], graph_id: str = "
 
 def split_lines(text: str) -> list[str]:
     """``text`` cut at each LF, CR LF or CR (an N-Triples 1.1 EOL), and at no other line break."""
-    return re.split(r"\r\n?|\n", text) if "\r" in text else text.split("\n")
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 def _parse_lines(lines: Iterable[str]) -> tuple[set[Triple], list[tuple[int, str]], int]:
@@ -223,29 +223,16 @@ def naming(path: str) -> Iterator[None]:
         raise
 
 
-@contextlib.contextmanager
-def open_utf8(path: str) -> Iterator[IO[str]]:
-    """The file at ``path`` opened as UTF-8 text, as ``open`` opens it.
-
-    A read that meets a byte that is not UTF-8 raises a ParseError naming
-    its line.  The file is read again, as bytes, only to find that line,
-    so a good file costs what ``open`` costs.  Any ParseError raised while
-    the file is open names ``path``.
-    """
-    with naming(path):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                yield fh
-        except UnicodeDecodeError:
-            with open(path, "rb") as fh:
-                decode_utf8(fh.read())
-            raise  # the file changed between the two reads
+def read_utf8(path: str) -> str:
+    """The file at ``path``, decoded strictly by ``decode_utf8``."""
+    with open(path, "rb") as fh:
+        return decode_utf8(fh.read())
 
 
 def load_graph(path: str, graph_id: str = "") -> Graph:
-    """Parse the N-Triples file at ``path``."""
-    with open_utf8(path) as fh:
-        return parse_ntriples(fh, graph_id or path).graph
+    """Parse the N-Triples file at ``path``; a ParseError names ``path``."""
+    with naming(path):
+        return parse_ntriples(read_utf8(path), graph_id or path).graph
 
 
 def save_graph(g: Graph, path: str) -> None:

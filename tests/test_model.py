@@ -95,8 +95,12 @@ class TestRenaming:
         assert rename_triples(triples, Renaming({x: y})) == {Triple(A, P, y), Triple(y, P, y)}
         assert rename_triples(triples, Renaming({x: y, y: C})) == {
             Triple(A, P, y), Triple(A, P, C), Triple(y, P, C)}
-        assert rename_triples(triples, Renaming()) == triples
         assert rename_triples((), Renaming({x: y})) == frozenset()
+
+    def test_empty_renaming_returns_a_frozenset_as_is(self):
+        triples = frozenset({Triple(A, P, bnode("x"))})
+        assert rename_triples(triples, Renaming()) is triples
+        assert rename_triples(list(triples), Renaming()) == triples
 
 
 def test_renaming_relabels_fixture_bnode(g1, g2_no_birthday):
