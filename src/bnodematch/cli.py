@@ -296,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plain", action="store_true", help="skip bnode matching")
     p.add_argument("--labels", choices=("source", "target"), default="target",
                    help="label scope of the emitted operations (default target)")
-    p.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD)
+    p.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD,
+                   help="most bnodes on the smaller side for exact search (default %(default)s)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_diff)
 
@@ -310,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph1")
     p.add_argument("graph2")
     _add_equiv_flag(p)
-    p.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD)
+    p.add_argument("--exact-threshold", type=int, default=EXACT_THRESHOLD,
+                   help="most bnodes on the smaller side for exact search (default %(default)s)")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_match)
 

@@ -115,23 +115,25 @@ def integrate_all(
     prefixed = [prefix_bnodes(g, tag) for g, tag in zip(graphs, tags)]
     source_bnodes = {tag: set(g.bnodes()) for tag, g in zip(tags, prefixed)}
 
-    content = prefixed[0]
+    corpus = prefixed[0].triples
     bnode_links: set[tuple[Term, Term]] = set()
     uri_links: set[tuple[Term, Term]] = set()
 
-    for new in prefixed[1:]:
+    for step, new in enumerate(prefixed[1:]):
+        # A corpus Graph is built only to match the next source against it.
+        content = Graph(corpus, "integrated") if step else prefixed[0]
         equiv = EquivalenceRelation.for_graphs(policy, [content, new], sameas_pairs)
         uri_links |= _cross_uri_links(content.uris(), new.uris(), equiv)
         for cand in _match_step(content, new, equiv):
             if accept(cand.left, cand.right, cand.dist, cand.left_size, cand.right_size):
                 bnode_links.add((cand.left, cand.right))
-        content = Graph(content.triples | new.triples, "integrated")
+        corpus = corpus | new.triples
 
     sameas = iri(OWL_SAMEAS)
     if unify:
-        kept = rename_triples(content.triples, _unifying_renaming(bnode_links))
+        kept = rename_triples(corpus, _unifying_renaming(bnode_links))
     else:
-        kept = content.triples | {Triple(a, sameas, b) for a, b in bnode_links}
+        kept = corpus | {Triple(a, sameas, b) for a, b in bnode_links}
     merged = Graph(kept | {Triple(a, sameas, b) for a, b in uri_links}, "integrated")
 
     linked = {a for a, _ in bnode_links} | {b for _, b in bnode_links}

@@ -10,8 +10,9 @@ appear in any delta regardless).
 
 Three strategies, picked by instance shape:
 
-* exact branch-and-bound enumeration when the smaller bnode set is small
-  (cost is the true minimum);
+* exact branch and bound when the smaller side has at most
+  ``EXACT_THRESHOLD`` bnodes (the least cost, with ties broken as
+  ``brute_force_match`` breaks them);
 * minimum-cost bipartite assignment when neither graph has directly
   connected bnodes (distances are then mapping-independent, so the
   assignment is exact);
@@ -397,62 +398,50 @@ def _stable_signatures(
 
 
 def _exact_search(ctx: _PairContext) -> BnodeMapping:
+    """The least ``(cost, sorted pair list)`` over all partial injections.
+
+    That is ``brute_force_match``'s rule, found by branch and bound over
+    the left bnodes in label order.  Every right penalty is paid up front
+    and credited back to the pair that takes its bnode as image, so a
+    node's bound is what it has spent plus, for each open row, the
+    cheapest of a skip or a credited pair bound.  The pairs of a branch
+    start the sorted pair list of every mapping below it, so a branch whose
+    ``(bound, pairs)`` is above the best ``(cost, pairs)`` cannot win, even
+    a tie.  Index pairs sort as the label pairs, both sides being in label order.
+    """
     left, right = ctx.left, ctx.right
-    n1, n2 = len(left), len(right)
     penalty = [ctx.penalty(b) for b in left]
-    lbm = ctx.bound_matrix().tolist()
-    best_one = [min([penalty[i]] + lbm[i]) for i in range(n1)]
-    suffix = [0] * (n1 + 1)
-    for i in range(n1 - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + best_one[i]
-    # Every skipped left bnode strands one more right bnode; at least the
-    # cheapest ones must then be paid for.
-    rp_sorted = sorted(ctx.penalty_right(b) for b in right)
-    rp_prefix = [0]
-    for p in rp_sorted:
-        rp_prefix.append(rp_prefix[-1] + p)
+    rp = np.array([ctx.penalty_right(b) for b in right], dtype=np.int64)
+    credited = (ctx.bound_matrix() - rp).tolist()
+    suffix = [int(rp.sum())]
+    for p, row in zip(reversed(penalty), reversed(credited)):
+        suffix.append(suffix[-1] + min([p] + row))
+    suffix.reverse()
+    best = (ctx.eval_cost({}), [])  # the empty mapping has the least pair list
+    prefix: list[tuple[int, int]] = []
+    used = [False] * len(right)
 
-    best_cost: Optional[int] = None
-    best_key: Optional[tuple] = None
-    best_pairs: dict[Term, Term] = {}
-    assignment: dict[Term, Term] = {}
-    used = [False] * n2
-
-    def leaf() -> None:
-        nonlocal best_cost, best_key, best_pairs
-        cost = ctx.eval_cost(assignment)
-        key = tuple(sorted((a.value, b.value) for a, b in assignment.items()))
-        if best_cost is None or (cost, key) < (best_cost, best_key):
-            best_cost, best_key, best_pairs = cost, key, dict(assignment)
-
-    def dfs(i: int, acc: int, skips: int) -> None:
-        stranded = n2 - n1 + skips
-        if (
-            best_cost is not None
-            and acc + suffix[i] + rp_prefix[max(stranded, 0)] > best_cost
-        ):
+    def dfs(i: int, acc: int) -> None:
+        nonlocal best
+        if (acc + suffix[i], prefix) > best:
             return
-        if i == n1:
-            leaf()
+        if i == len(left):
+            mapping = {left[a]: right[b] for a, b in prefix}
+            best = min(best, (ctx.eval_cost(mapping), prefix[:]))
             return
-        b1 = left[i]
         # Try options in ascending optimistic cost so good bounds come early.
-        options: list[tuple[int, int]] = [(penalty[i], -1)]
-        options.extend((lbm[i][j], j) for j in range(n2) if not used[j])
-        options.sort(key=lambda o: (o[0], o[1]))
-        for bound, j in options:
-            if j < 0:
-                dfs(i + 1, acc + penalty[i], skips + 1)
-            else:
+        options = [(penalty[i], -1)] + [(c, j) for j, c in enumerate(credited[i]) if not used[j]]
+        for bound, j in sorted(options):
+            if j >= 0:
                 used[j] = True
-                assignment[b1] = right[j]
-                dfs(i + 1, acc + bound, skips)
-                del assignment[b1]
+                prefix.append((i, j))
+            dfs(i + 1, acc + bound)
+            if j >= 0:
+                prefix.pop()
                 used[j] = False
 
-    dfs(0, 0, 0)
-    assert best_cost is not None
-    return BnodeMapping(best_pairs, cost=best_cost, method=BRUTE_FORCE)
+    dfs(0, 0)
+    return BnodeMapping({left[i]: right[j] for i, j in best[1]}, cost=best[0], method=BRUTE_FORCE)
 
 
 def _assignment_tier(ctx: _PairContext) -> BnodeMapping:

@@ -212,9 +212,11 @@ class VersionStore:
             )
         # Store deltas are source-labels scripts, which apply without
         # renaming, so the replay runs on triple sets and builds one Graph.
-        triples, _, _ = ntriples._parse_lines(ntriples.split_lines(self._texts[0]))
+        with ntriples.naming(str(self.path / BASE_FILE)):
+            triples, _, _ = ntriples._parse_lines(ntriples.split_lines(self._texts[0]))
         for k in range(1, i):
-            script = parse_delta(self._texts[k])
+            with ntriples.naming(str(self.path / _delta_name(k))):
+                script = parse_delta(self._texts[k])
             if script.direction != SOURCE_LABELS:
                 raise StoreError(f"{self.path}: {_delta_name(k)} is not a {SOURCE_LABELS} delta")
             triples = (triples - script.deletions) | script.additions

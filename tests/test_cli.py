@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -463,6 +465,27 @@ class TestVersionStoreCommands:
             f"{(repo / 'base.nt').stat().st_size - 2})\n"
         )
 
+    @pytest.mark.parametrize("verb", [["checkout", "2"], ["commit", G3]], ids=["checkout", "commit"])
+    @pytest.mark.parametrize("name, line", [
+        ("base.nt", "<http://x/s> <http://x/p> bad .\n"),
+        ("0001.rdfd", "A <http://x/s> <http://x/p> bad .\n"),
+    ], ids=["base", "delta"])
+    def test_a_malformed_line_in_a_store_file_names_the_file(self, tmp_path, capsys,
+                                                             name, line, verb):
+        from bnodematch.store import _write_manifest
+
+        repo = tmp_path / "repo"
+        assert main(["vs", "init", str(repo), G1]) == 0
+        assert main(["vs", "commit", str(repo), G2]) == 0
+        with open(repo / name, "a", encoding="utf-8") as fh:
+            fh.write(line)
+        _write_manifest(repo, 2)
+        line_no = len((repo / name).read_text(encoding="utf-8").splitlines())
+        capsys.readouterr()
+        assert main(["vs", verb[0], str(repo), *verb[1:]]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {repo / name}: line {line_no}: malformed object")
+
     @pytest.mark.parametrize("name", ["base.nt", "manifest.txt", "0001.rdfd", "new.nt", "."])
     def test_output_inside_the_repository_is_refused(self, tmp_path, capsys, name):
         repo = tmp_path / "repo"
@@ -634,10 +657,11 @@ def test_file_stdin_and_store_read_the_same_bytes_alike(tmp_path, capsys, monkey
 # -- a Graph is built only where its index is read -----------------------------
 
 # Graph builds per request: the inputs, the store head and the integration
-# sources are Graphs, and so are the results of patch and checkout.
+# sources are Graphs, and so are the results of patch, checkout and
+# integrate.  Two sources need no corpus Graph beside the first source.
 _GRAPH_BUILDS = {
     "diff": 2, "diff --labels source": 2, "patch": 2, "match": 2, "equiv": 2, "entail": 2,
-    "vs commit": 2, "vs patch": 2, "vs checkout": 1, "integrate": 6, "integrate --unify": 6,
+    "vs commit": 2, "vs patch": 2, "vs checkout": 1, "integrate": 5, "integrate --unify": 5,
 }
 
 
@@ -682,3 +706,57 @@ def test_graph_builds_per_request(tmp_path, capsys, monkeypatch):
         counts[verb] = len(builds)
     capsys.readouterr()
     assert counts == _GRAPH_BUILDS
+
+
+# -- the exact tier on unrelated graphs ---------------------------------------
+
+
+def _four_against_forty(tmp_path) -> tuple[str, str]:
+    """Unrelated graphs of 4 and 40 bnodes: ``g1`` of seed 1 and ``g2`` of seed 2."""
+    from bnodematch.generator import GenSpec, generate_pair
+    from bnodematch.ntriples import save_graph
+
+    small, large = str(tmp_path / "small.nt"), str(tmp_path / "large.nt")
+    save_graph(generate_pair(GenSpec(4, 2, seed=1)).g1, small)
+    save_graph(generate_pair(GenSpec(40, 2, seed=2)).g2, large)
+    return small, large
+
+
+def test_diff_of_four_against_forty_bnodes_finishes_within_ten_seconds(tmp_path):
+    small, large = _four_against_forty(tmp_path)
+    delta, patched = str(tmp_path / "d.rdfd"), str(tmp_path / "patched.nt")
+    start = time.monotonic()
+    run = subprocess.run([sys.executable, "-m", "bnodematch", "diff", small, large, "-o", delta],
+                         capture_output=True, timeout=120)
+    elapsed = time.monotonic() - start
+    assert run.returncode == 0, run.stderr
+    assert elapsed < 10.0, f"diff took {elapsed:.1f} s"
+    assert main(["patch", small, delta, "-o", patched]) == 0
+    assert graphs_equivalent(load_graph(patched), load_graph(large))
+
+
+# Runs ``match`` and ``diff`` on each (graph1, graph2) pair of its arguments.
+_MATCH_AND_DIFF = """
+import sys
+from bnodematch.cli import main
+paths = sys.argv[1:]
+for a, b in zip(paths[::2], paths[1::2]):
+    for verb in ("match", "diff"):
+        print(verb, a, b, flush=True)
+        assert main([verb, a, b]) == 0
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    small, large = _four_against_forty(tmp_path)
+    pairs = list(itertools.permutations([G1, G2, G2NB, G3, G4], 2))
+    pairs += [(small, large), (large, small)]
+    args = [path for pair in pairs for path in pair]
+    outputs = []
+    for seed in ("0", "1"):
+        run = subprocess.run([sys.executable, "-c", _MATCH_AND_DIFF, *args], capture_output=True,
+                             env=dict(os.environ, PYTHONHASHSEED=seed), timeout=300)
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"# cost=") == len(pairs)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 
@@ -29,11 +30,13 @@ from bnodematch.matcher import (
     ASSIGNMENT,
     BRUTE_FORCE,
     REFINEMENT,
+    BnodeMapping,
     _incident_tokens,
     _move_gain,
     _oracle_dist,
     _color_of,
     _distance_matrix,
+    _exact_search,
     _PairContext,
     _wildcard,
     format_mapping,
@@ -608,3 +611,151 @@ def test_mapping_cost_rejects_a_non_injective_mapping():
     with pytest.raises(ValueError, match="bnode mapping must be injective"):
         mapping_cost(g1, g2, {a: x, b: x})
     assert mapping_cost(g1, g2, {a: x}) == 1
+
+
+# -- one bound for the exact tier ----------------------------------------------
+
+
+def _reference_exact_search(ctx: _PairContext) -> BnodeMapping:
+    """The replaced ``_exact_search``: a per-row bound plus the cheapest stranded
+    right penalties, cutting only branches strictly above the best cost."""
+    left, right = ctx.left, ctx.right
+    n1, n2 = len(left), len(right)
+    penalty = [ctx.penalty(b) for b in left]
+    lbm = ctx.bound_matrix().tolist()
+    best_one = [min([penalty[i]] + lbm[i]) for i in range(n1)]
+    suffix = [0] * (n1 + 1)
+    for i in range(n1 - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + best_one[i]
+    rp_sorted = sorted(ctx.penalty_right(b) for b in right)
+    rp_prefix = [0]
+    for p in rp_sorted:
+        rp_prefix.append(rp_prefix[-1] + p)
+
+    best_cost = best_key = None
+    best_pairs: dict = {}
+    assignment: dict = {}
+    used = [False] * n2
+
+    def leaf() -> None:
+        nonlocal best_cost, best_key, best_pairs
+        cost = ctx.eval_cost(assignment)
+        key = tuple(sorted((a.value, b.value) for a, b in assignment.items()))
+        if best_cost is None or (cost, key) < (best_cost, best_key):
+            best_cost, best_key, best_pairs = cost, key, dict(assignment)
+
+    def dfs(i: int, acc: int, skips: int) -> None:
+        stranded = n2 - n1 + skips
+        if best_cost is not None and acc + suffix[i] + rp_prefix[max(stranded, 0)] > best_cost:
+            return
+        if i == n1:
+            leaf()
+            return
+        b1 = left[i]
+        options = [(penalty[i], -1)]
+        options.extend((lbm[i][j], j) for j in range(n2) if not used[j])
+        options.sort(key=lambda o: (o[0], o[1]))
+        for bound, j in options:
+            if j < 0:
+                dfs(i + 1, acc + penalty[i], skips + 1)
+            else:
+                used[j] = True
+                assignment[b1] = right[j]
+                dfs(i + 1, acc + bound, skips)
+                del assignment[b1]
+                used[j] = False
+
+    dfs(0, 0, 0)
+    return BnodeMapping(best_pairs, cost=best_cost, method=BRUTE_FORCE)
+
+
+def _injections(k: int, n: int) -> int:
+    """The partial injections of k bnodes into n: what a flat enumeration visits."""
+    return sum(math.comb(k, r) * math.perm(n, r) for r in range(k + 1))
+
+
+def _random_pairs(count: int):
+    """Seeded pairs: smaller side 0-7, larger side up to 12, linked at 0, 0.3 or 0.6.
+
+    Half are near copies, padded with unrelated bnodes up to the larger
+    size; half are unrelated, kept only with at most 20 000 partial
+    injections so that the reference search stays well under a second.
+    Every third pair moves the larger side's IRIs into another namespace
+    and compares under ``suffix``.
+    """
+    rng = random.Random(7)
+    for trial in range(count):
+        k = rng.randint(0, 7)
+        n = rng.randint(k, 12)
+        connectivity = rng.choice((0.0, 0.3, 0.6)) if k >= 2 else 0.0
+        pair = generate_pair(GenSpec(k, 3, connectivity, rng.randint(0, 4), seed=5000 + trial))
+        if rng.random() < 0.5:
+            pad = GenSpec(n - k, 0, connectivity if n - k >= 2 else 0.0, seed=6000 + trial)
+            large = Graph(pair.g2.triples | generate_pair(pad).g1.triples)
+        elif _injections(k, n) <= 20_000:
+            spec = GenSpec(n, 3, connectivity if n >= 2 else 0.0, seed=6000 + trial)
+            large = generate_pair(spec).g2
+        else:
+            continue
+        policy = "suffix" if trial % 3 == 0 else "exact"
+        if policy == "suffix":
+            large = _other_namespace(large)
+        yield trial, pair.g1, large, EquivalenceRelation.for_graphs(policy, [pair.g1, large])
+
+
+def _assert_as_the_reference(a: Graph, b: Graph, equiv: EquivalenceRelation, label) -> int:
+    """Both argument orders solve as the replaced search does; returns the orders run."""
+    runs = 0
+    for left, right in ((a, b), (b, a)):
+        if len(left.bnodes()) <= len(right.bnodes()):
+            new = _exact_search(_PairContext(left, right, equiv))
+            old = _reference_exact_search(_PairContext(left, right, equiv))
+            assert (new.pairs, new.cost) == (old.pairs, old.cost), label
+            runs += 1
+    return runs
+
+
+def test_exact_search_equals_the_reference_on_criterion_5():
+    runs = sum(_assert_as_the_reference(a, b, equiv, f"plan {i}")
+               for i, (a, b, equiv) in enumerate(_criterion_5_pairs()))
+    assert runs >= 500
+
+
+def test_exact_search_equals_the_reference_on_random_pairs():
+    cases = list(_random_pairs(200))
+    for trial, small, large, equiv in cases:
+        _assert_as_the_reference(small, large, equiv, f"trial {trial}")
+    sizes = {(len(s.bnodes()), len(l.bnodes())) for _, s, l, _ in cases}
+    assert len(cases) >= 150 and (7, 12) in sizes
+    assert {min(size) for size in sizes} == set(range(8))
+
+
+@pytest.mark.parametrize("connectivity", [0.0, 0.3, 0.6])
+def test_exact_search_agrees_with_the_oracle_on_unrelated_pairs(connectivity):
+    """Unrelated graphs, at most 8 bnodes a side: nearly every injection ties."""
+    for k, n in ((1, 8), (2, 8), (3, 8), (4, 7), (5, 6), (6, 6), (8, 3)):
+        a = generate_pair(GenSpec(k, 2, connectivity if k >= 2 else 0.0, seed=k)).g1
+        b = generate_pair(GenSpec(n, 2, connectivity, seed=10 + n)).g2
+        for x, y in ((a, b), (b, a)):
+            oracle = brute_force_match(x, y)
+            solved = match_bnodes(x, y)
+            assert solved.method == BRUTE_FORCE
+            assert (solved.pairs, solved.cost) == (oracle.pairs, oracle.cost), (k, n)
+
+
+def _unrelated(n1: int, n2: int, connectivity: float = 0.0) -> tuple[Graph, Graph]:
+    """``g1`` of seed 1 with n1 bnodes against ``g2`` of seed 2 with n2."""
+    return (generate_pair(GenSpec(n1, 2, connectivity, seed=1)).g1,
+            generate_pair(GenSpec(n2, 2, connectivity, seed=2)).g2)
+
+
+@pytest.mark.parametrize("n1, n2, connectivity, cost, limit", [
+    (4, 30, 0.0, 62, 1.0), (2, 400, 0.0, 781, 1.0), (6, 12, 0.3, 45, 5.0),
+])
+def test_exact_search_on_unrelated_pairs_is_fast(n1, n2, connectivity, cost, limit):
+    g1, g2 = _unrelated(n1, n2, connectivity)
+    start = time.perf_counter()
+    m = match_bnodes(g1, g2)
+    elapsed = time.perf_counter() - start
+    assert (m.method, m.cost) == (BRUTE_FORCE, cost)
+    assert elapsed < limit, f"{n1}x{n2} took {elapsed:.2f} s"
